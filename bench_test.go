@@ -271,13 +271,12 @@ func BenchmarkPrescreenOff_sg344(b *testing.B) { benchPrescreen(b, "sg344", fals
 
 // --- Bit-parallel resimulation: 256-lane expansion stage ---
 
-// benchResimBitParallel measures the whole-list pipeline with the
-// bit-parallel Section 3.4 resimulation on vs. off. sg298 is the
-// resimulation-heavy workload (many MOT-pipeline faults with large
-// expansion sets); the outcomes are identical either way and the stage
-// counters are asserted to reflect the selected path.
-func benchResimBitParallel(b *testing.B, name string, on bool) {
-	e, err := circuits.SuiteEntryByName(name)
+// BenchmarkResimBitParallelOn_sg298 measures the whole-list pipeline on
+// sg298, the resimulation-heavy workload (many MOT-pipeline faults with
+// large expansion sets), and asserts the 256-lane resimulation ran. The
+// name is kept so recorded baselines still pair with it.
+func BenchmarkResimBitParallelOn_sg298(b *testing.B) {
+	e, err := circuits.SuiteEntryByName("sg298")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -285,7 +284,6 @@ func benchResimBitParallel(b *testing.B, name string, on bool) {
 	T := tgen.Random(c.NumInputs(), e.SeqLen, e.SeqSeed)
 	faults := fault.CollapsedList(c)
 	cfg := core.DefaultConfig()
-	cfg.BitParallelResim = on
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -297,17 +295,11 @@ func benchResimBitParallel(b *testing.B, name string, on bool) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if on && res.Stages.ResimVectorPasses == 0 {
-			b.Fatal("bit-parallel resim on but no vector passes recorded")
-		}
-		if !on && res.Stages.ResimVectorPasses != 0 {
-			b.Fatal("bit-parallel resim off but vector passes recorded")
+		if res.Stages.ResimVectorPasses == 0 {
+			b.Fatal("no vector resimulation passes recorded")
 		}
 	}
 }
-
-func BenchmarkResimBitParallelOn_sg298(b *testing.B)  { benchResimBitParallel(b, "sg298", true) }
-func BenchmarkResimBitParallelOff_sg298(b *testing.B) { benchResimBitParallel(b, "sg298", false) }
 
 // --- Ablations (DESIGN.md §5) ---
 

@@ -15,23 +15,24 @@ import (
 )
 
 func TestVVHelpers(t *testing.T) {
-	one := cir.Broadcast(logic.One)
-	zero := cir.Broadcast(logic.Zero)
-	x := cir.Broadcast(logic.X)
-	if one.Lane(0) != logic.One || zero.Lane(63) != logic.Zero || x.Lane(5) != logic.X {
+	one := cir.Broadcast4(logic.One)
+	zero := cir.Broadcast4(logic.Zero)
+	x := cir.Broadcast4(logic.X)
+	if one.Lane(0) != logic.One || zero.Lane(Lanes-1) != logic.Zero || x.Lane(5) != logic.X {
 		t.Fatal("broadcast/lane wrong")
 	}
 	if one.Not().Lane(3) != logic.Zero {
 		t.Fatal("not wrong")
 	}
-	if cir.And2(one, x).Lane(0) != logic.X || cir.And2(zero, x).Lane(0) != logic.Zero {
-		t.Fatal("and2 three-valued semantics wrong")
+	fold := func(op logic.Op, a, b VV) logic.Val { return cir.EvalOpVV4(op, []VV{a, b}).Lane(0) }
+	if fold(logic.And, one, x) != logic.X || fold(logic.And, zero, x) != logic.Zero {
+		t.Fatal("and three-valued semantics wrong")
 	}
-	if cir.Or2(one, x).Lane(0) != logic.One || cir.Or2(zero, x).Lane(0) != logic.X {
-		t.Fatal("or2 three-valued semantics wrong")
+	if fold(logic.Or, one, x) != logic.One || fold(logic.Or, zero, x) != logic.X {
+		t.Fatal("or three-valued semantics wrong")
 	}
-	if cir.Xor2(one, x).Lane(0) != logic.X || cir.Xor2(one, zero).Lane(0) != logic.One {
-		t.Fatal("xor2 three-valued semantics wrong")
+	if fold(logic.Xor, one, x) != logic.X || fold(logic.Xor, one, zero) != logic.One {
+		t.Fatal("xor three-valued semantics wrong")
 	}
 }
 

@@ -212,64 +212,6 @@ func TestEvalFrameMatchesGolden(t *testing.T) {
 	}
 }
 
-// setLane writes value val into lane k of v.
-func setLane(v *cir.VV, k uint, val logic.Val) {
-	v.Zero &^= 1 << k
-	v.One &^= 1 << k
-	switch val {
-	case logic.Zero:
-		v.Zero |= 1 << k
-	case logic.One:
-		v.One |= 1 << k
-	}
-}
-
-// TestEvalOpVVMatchesScalar packs every input combination of every
-// operator into vector lanes and checks EvalOpVV lane-for-lane against
-// the scalar EvalOp.
-func TestEvalOpVVMatchesScalar(t *testing.T) {
-	vals := []logic.Val{logic.Zero, logic.One, logic.X}
-	arity := func(op logic.Op) []int {
-		switch op {
-		case logic.Const0, logic.Const1:
-			return []int{1} // inputs ignored
-		case logic.Buf, logic.Not:
-			return []int{1}
-		}
-		return []int{2, 3}
-	}
-	for _, op := range []logic.Op{
-		logic.Buf, logic.Not, logic.And, logic.Nand, logic.Or, logic.Nor,
-		logic.Xor, logic.Xnor, logic.Const0, logic.Const1,
-	} {
-		for _, n := range arity(op) {
-			combos := 1
-			for i := 0; i < n; i++ {
-				combos *= len(vals)
-			}
-			in := make([]cir.VV, n)
-			scalar := make([][]logic.Val, combos) // scalar[k] is lane k's input row
-			for k := 0; k < combos; k++ {
-				row := make([]logic.Val, n)
-				rem := k
-				for j := 0; j < n; j++ {
-					row[j] = vals[rem%len(vals)]
-					rem /= len(vals)
-					setLane(&in[j], uint(k), row[j])
-				}
-				scalar[k] = row
-			}
-			out := cir.EvalOpVV(op, in)
-			for k := 0; k < combos; k++ {
-				want := cir.EvalOp(op, scalar[k])
-				if got := out.Lane(uint(k)); got != want {
-					t.Errorf("%v%v lane %d: vector %v, scalar %v", op, scalar[k], k, got, want)
-				}
-			}
-		}
-	}
-}
-
 // bruteCone computes the sequential fanout closure of a fault site
 // directly on the pointer-chasing netlist, as the reference for FillCone.
 func bruteCone(c *netlist.Circuit, f fault.Fault) (gates map[netlist.GateID]bool, nodes map[netlist.NodeID]bool) {

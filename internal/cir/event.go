@@ -80,8 +80,8 @@ func (cc *CC) buildSched(gates []netlist.GateID, counts []int32, s *Sched) {
 
 // FullSched returns the whole-circuit event schedule (every gate, every
 // occupied level), built once at Compile. It backs full-seeding entry
-// points (FrameDelta, the resimulation clean-frame path) where the
-// perturbed region is not confined to a cone.
+// points (FrameDelta) where the perturbed region is not confined to a
+// cone.
 func (cc *CC) FullSched() *Sched { return &cc.fullSched }
 
 // EventEval is the event-driven sparse-delta frame evaluator: scratch

@@ -1,10 +1,10 @@
 package cir
 
-// 256-lane bit-parallel three-valued values: the wide counterpart of VV,
-// backed by [4]uint64 words so a single value carries four VV's worth of
-// lanes. Pure Go word-parallel operations — each lane-wise op is four
-// independent uint64 ops the compiler keeps in registers; no explicit
-// SIMD. bitsim packs 255 faulty machines per word with these, and the
+// 256-lane bit-parallel three-valued values, the bit-parallel half of
+// the gate semantics (EvalOpVV4) next to the scalar half (EvalOp), backed
+// by [4]uint64 words. Pure Go word-parallel operations — each lane-wise
+// op is four independent uint64 ops the compiler keeps in registers; no
+// explicit SIMD. bitsim packs 255 faulty machines per word with these, and the
 // core resimulation stage packs one fault's expanded state sequences.
 
 import "repro/internal/logic"
@@ -59,9 +59,20 @@ func (v *VV4) SetLane(k uint, val logic.Val) {
 // Not complements all lanes.
 func (v VV4) Not() VV4 { return VV4{Zero: v.One, One: v.Zero} }
 
-// VV4Fold streams a gate's input vectors through the 256-lane fold,
-// mirroring VVFold: the accumulator starts at the fold's identity
-// element so Add has no first-input special case.
+// foldKind selects the two-operand fold an operator reduces under.
+type foldKind uint8
+
+const (
+	foldAnd foldKind = iota
+	foldOr           // also Buf/Not: Or from the identity passes the input through
+	foldXor
+)
+
+// VV4Fold streams a gate's input vectors through the 256-lane fold one at
+// a time, keeping the accumulator in registers instead of requiring
+// callers to materialize a gathered input slice. The accumulator starts
+// at the fold's identity element (all-1 lanes for AND, all-0 lanes for
+// OR and XOR), so Add has no first-input special case.
 type VV4Fold struct {
 	op   logic.Op
 	kind foldKind

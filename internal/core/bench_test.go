@@ -12,7 +12,7 @@ import (
 // collectSetup builds an sg298 simulator and picks the undetected fault
 // with the most candidate pairs, so the benchmark exercises a realistic
 // pair-collection workload (many pairs across several time units).
-func collectSetup(b *testing.B, cfg Config) (*Simulator, fault.Fault, *seqsim.Trace, []int) {
+func collectSetup(b *testing.B) (*Simulator, fault.Fault, *seqsim.Trace, []int) {
 	b.Helper()
 	e, err := circuits.SuiteEntryByName("sg298")
 	if err != nil {
@@ -20,7 +20,7 @@ func collectSetup(b *testing.B, cfg Config) (*Simulator, fault.Fault, *seqsim.Tr
 	}
 	c := e.Build()
 	T := tgen.Random(c.NumInputs(), e.SeqLen, e.SeqSeed)
-	s, err := NewSimulator(c, T, cfg)
+	s, err := NewSimulator(c, T, DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func collectSetup(b *testing.B, cfg Config) (*Simulator, fault.Fault, *seqsim.Tr
 // BenchmarkCollectPairs measures the pooled/trail pair-collection path:
 // one frame per time unit restored by trail undo, arena-backed pair data.
 func BenchmarkCollectPairs(b *testing.B) {
-	s, f, bad, nout := collectSetup(b, DefaultConfig())
+	s, f, bad, nout := collectSetup(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -66,31 +66,16 @@ func BenchmarkCollectPairs(b *testing.B) {
 	}
 }
 
-// BenchmarkCollectPairsReference measures the retained allocate-per-pair
-// path (a fresh implication frame per pair side) on the same workload.
-func BenchmarkCollectPairsReference(b *testing.B) {
-	cfg := DefaultConfig()
-	cfg.Reference = true
-	s, f, bad, nout := collectSetup(b, cfg)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pairs := s.collectPairs(&f, bad, nout)
-		if len(pairs) == 0 {
-			b.Fatal("no pairs")
-		}
-	}
-}
-
-// benchSimulateList measures the whole per-fault MOT pipeline (without the
-// bit-parallel prescreen) over the collapsed fault list.
-func benchSimulateList(b *testing.B, cfg Config) {
+// BenchmarkSimulateList measures the whole per-fault MOT pipeline
+// (without the bit-parallel prescreen) over the collapsed fault list.
+func BenchmarkSimulateList(b *testing.B) {
 	e, err := circuits.SuiteEntryByName("sg298")
 	if err != nil {
 		b.Fatal(err)
 	}
 	c := e.Build()
 	T := tgen.Random(c.NumInputs(), e.SeqLen, e.SeqSeed)
+	cfg := DefaultConfig()
 	cfg.Prescreen = false
 	s, err := NewSimulator(c, T, cfg)
 	if err != nil {
@@ -104,12 +89,4 @@ func benchSimulateList(b *testing.B, cfg Config) {
 			b.Fatal(err)
 		}
 	}
-}
-
-func BenchmarkSimulateList(b *testing.B) { benchSimulateList(b, DefaultConfig()) }
-
-func BenchmarkSimulateListReference(b *testing.B) {
-	cfg := DefaultConfig()
-	cfg.Reference = true
-	benchSimulateList(b, cfg)
 }

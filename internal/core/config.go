@@ -90,34 +90,6 @@ type Config struct {
 	// fallback and is asserted bit-identical by the prescreen tests.
 	// SimulateFault itself never prescreens.
 	Prescreen bool
-	// BitParallelResim enables the bit-parallel Section 3.4
-	// resimulation: all expanded sequences of a fault pack into the
-	// lanes of one 256-lane word and resimulate in a single
-	// region-confined vector pass per expansion (vresim.go), falling
-	// back to the serial path only when a sequence set exceeds the lane
-	// capacity. Outcomes are identical with it off (every sequence then
-	// resimulates serially); the off mode exists as a cross-check
-	// fallback and is asserted bit-identical by the resim cross-check
-	// tests.
-	BitParallelResim bool
-	// EventSim enables the event-driven sparse-delta frame evaluator
-	// (cir.EventEval): faulty frames seed events at the fault site and
-	// the changed present-state lines, visit only gates whose inputs
-	// changed, and store only divergent values in an epoch-stamped
-	// overlay — eliminating the per-frame whole-circuit copy of the
-	// level-order cone walk. Outcomes, JSONL traces and per-fault
-	// counters are byte-identical with it off (every frame then takes
-	// the retained level-order path); the off mode exists as a
-	// cross-check fallback and is asserted bit-identical by the
-	// event-sim cross-check and fuzz tests.
-	EventSim bool
-	// Reference selects the retained allocate-per-pair implementation of
-	// the pair-collection and expansion path: a fresh implication frame
-	// per pair side, map-backed sv sets, and freshly allocated sequences.
-	// Outcomes are byte-identical to the default pooled/trail path; the
-	// mode exists for cross-check tests and as the allocation baseline in
-	// benchmarks.
-	Reference bool
 	// IdentificationOnly stops the pipeline after Section 3.2: faults are
 	// credited only when the collected implication information alone
 	// proves detection, with no state expansion or resimulation. This
@@ -188,8 +160,6 @@ func DefaultConfig() Config {
 		BackwardDepth:           1,
 		MaxPairs:                4096,
 		Prescreen:               true,
-		BitParallelResim:        true,
-		EventSim:                true,
 		Metrics:                 true,
 	}
 }

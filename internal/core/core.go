@@ -72,16 +72,13 @@ type Simulator struct {
 	// SimulateFault call, consumed by the trace emitter.
 	lastStages StageNS
 	// lastResim summarizes the resimulation passes of the most recent
-	// SimulateFault call (vector passes, lanes packed, serial
-	// fallbacks), consumed by the trace emitter. Deterministic, unlike
-	// lastStages.
+	// SimulateFault call (vector passes, frames, lanes packed), consumed
+	// by the trace emitter. Deterministic, unlike lastStages.
 	lastResim ResimTrace
 	// lastEvents summarizes the step-0 frame-evaluation work of the most
 	// recent SimulateFault call (frames, events, gate evaluations),
-	// consumed by the trace emitter and span attributes. The counters are
-	// evaluator-invariant: the event-driven and level-order paths visit
-	// the same gates and change the same nodes, so the summary is
-	// byte-identical across Config.EventSim settings and worker counts.
+	// consumed by the trace emitter and span attributes. The summary is
+	// byte-identical across worker counts.
 	lastEvents SimTrace
 	// tbuf/span carry the open span of the fault currently in
 	// SimulateFault (see span.go); span is 0 — and the sub-span hooks
@@ -133,7 +130,6 @@ func NewSimulatorWarm(c *netlist.Circuit, T seqsim.Sequence, cfg Config, w Warm)
 		return nil, fmt.Errorf("core: warm CC was compiled from a different circuit")
 	}
 	sim := seqsim.NewCompiled(cc)
-	sim.SetEventSim(cfg.EventSim)
 	good := w.Good
 	switch {
 	case good == nil:
@@ -396,12 +392,8 @@ func (s *Simulator) simulateFault(f fault.Fault) (FaultOutcome, error) {
 //
 // The returned slice and the slices inside each pairInfo are backed by
 // per-simulator arenas truncated at the next collectPairs call; they stay
-// valid for the remainder of this fault's pipeline only. Config.Reference
-// selects the retained allocate-per-pair implementation instead.
+// valid for the remainder of this fault's pipeline only.
 func (s *Simulator) collectPairs(f *fault.Fault, bad *seqsim.Trace, nout []int) []pairInfo {
-	if s.cfg.Reference {
-		return s.collectPairsRef(f, bad, nout)
-	}
 	L := len(s.T)
 	nFF := s.c.NumFFs()
 	s.resetCollect()
@@ -488,9 +480,6 @@ func trivialPair(u, i int) pairInfo {
 // values, recording the first applicable result: conflict, detection, or
 // the extra specified state variables (Section 3.1).
 func (s *Simulator) collectOne(f *fault.Fault, bad *seqsim.Trace, u, i int) pairInfo {
-	if s.cfg.Reference {
-		return s.collectOneRef(f, bad, u, i)
-	}
 	fr := s.pairFrame(f, bad.Nodes[u-1])
 	return s.collectOneInto(fr, f, bad, u, i)
 }
@@ -610,9 +599,6 @@ const (
 // is safe to reuse across levels because each level consumes it fully
 // before the next level truncates it.
 func (s *Simulator) deepBackward(f *fault.Fault, bad *seqsim.Trace, fr *implic.Frame, u, depth int) deepResult {
-	if s.cfg.Reference {
-		return s.deepBackwardRef(f, bad, fr, u, depth)
-	}
 	for level := 0; depth > 0 && u > 0; level++ {
 		newly := s.pools.deepNewly[:0]
 		for j := 0; j < s.c.NumFFs(); j++ {
@@ -652,22 +638,10 @@ func (s *Simulator) deepBackward(f *fault.Fault, bad *seqsim.Trace, fr *implic.F
 // Pooled sequences (see Simulator.newSeq) additionally carry the flat
 // value slab the rows are carved from, so a clone is a single copy and a
 // released sequence can be recycled. Sequences built directly from a
-// states matrix (tests, the Reference path) leave flat nil and behave
-// identically.
+// states matrix (tests) leave flat nil and behave identically.
 type sequence struct {
 	states [][]logic.Val
 	flat   []logic.Val
-}
-
-// cloneStates deep-copies a state matrix.
-func cloneStates(src [][]logic.Val) [][]logic.Val {
-	dst := make([][]logic.Val, len(src))
-	for u := range src {
-		row := make([]logic.Val, len(src[u]))
-		copy(row, src[u])
-		dst[u] = row
-	}
-	return dst
 }
 
 // expand implements Procedure 2: phase 1 applies every single-sided pair
@@ -830,137 +804,20 @@ func expandable(p *pairInfo, seqs []*sequence) bool {
 // until no marked units remain. The fault is detected when every sequence
 // resolves.
 //
-// With Config.BitParallelResim every sequence rides one lane of a
-// 256-lane word and the whole set resimulates in one region-confined
-// vector pass (resimulateVV), byte-identical to the serial path below;
-// sequence sets beyond the lane capacity fall back to the serial path.
-// bad is the faulty-machine trace the sequences expanded from, and seqs
-// must come from the immediately preceding expand call (its assigned
-// state variables seed the vector pass's region).
+// Every sequence rides one lane of a 256-lane word (resimulateVV). A set
+// wider than the word replays as successive chunks of at most 256 lanes,
+// stopping at the first chunk with an unresolved lane. bad is the
+// faulty-machine trace the sequences expanded from, and seqs must come
+// from the immediately preceding expand call (its assigned state
+// variables seed the vector pass's region).
 func (s *Simulator) resimulate(f *fault.Fault, bad *seqsim.Trace, seqs []*sequence, baseMarks []bool) bool {
-	if s.cfg.BitParallelResim {
-		if len(seqs) <= cir.Lanes4 {
-			return s.resimulateVV(f, bad, seqs, baseMarks)
-		}
-		if st := s.stats; st != nil {
-			st.resimSerialFallbacks++
-		}
-		s.lastResim.SerialFallbacks++
-	}
-	if s.cfg.EventSim && bad.Nodes != nil {
-		return s.resimulateSparse(f, bad, seqs, baseMarks)
-	}
-	c := s.c
-	L := len(s.T)
-	// Pooled scratch: EvalFrame writes every node and the base marks are
-	// copied over the full buffer per sequence, so neither needs clearing.
-	vals, marks := s.resimScratch()
-	for _, sq := range seqs {
-		copy(marks, baseMarks)
-		resolved := false
-		for u := 0; u < L && !resolved; u++ {
-			if !marks[u] {
-				continue
-			}
-			s.sim.EvalFrame(s.T[u], sq.states[u], f, vals)
-			// Output conflict with the fault-free response: detection.
-			g := s.good.Outputs[u]
-			for j, id := range c.Outputs {
-				v := vals[id]
-				if v.IsBinary() && g[j].IsBinary() && v != g[j] {
-					resolved = true
-					break
-				}
-			}
-			if resolved {
-				break
-			}
-			// Compare the computed next state with the sequence's state at
-			// u+1: a conflict means the sequence is infeasible; new values
-			// refine it and mark u+1.
-			next := sq.states[u+1]
-			for j, ff := range c.FFs {
-				v := f.Observed(ff.Q, vals[ff.D])
-				if !v.IsBinary() {
-					continue
-				}
-				switch next[j] {
-				case logic.X:
-					next[j] = v
-					marks[u+1] = true
-				case v:
-					// consistent
-				default:
-					resolved = true // infeasible state sequence
-				}
-				if resolved {
-					break
-				}
-			}
-		}
-		if !resolved {
+	for len(seqs) > cir.Lanes4 {
+		if !s.resimulateVV(f, bad, seqs[:cir.Lanes4], baseMarks) {
 			return false
 		}
+		seqs = seqs[cir.Lanes4:]
 	}
-	return true
-}
-
-// resimulateSparse is resimulate's serial loop on the event-driven
-// sparse evaluator: each marked frame is evaluated as an
-// EvalFrameSparse overlay over the retained step-0 faulty-trace row
-// instead of a dense EvalFrame, so per-frame work scales with the
-// expansion's divergence from the base trace rather than with circuit
-// size. Outcomes are byte-identical to the dense loop (asserted by the
-// event-sim cross-check tests). Caller guarantees bad retains node
-// values.
-func (s *Simulator) resimulateSparse(f *fault.Fault, bad *seqsim.Trace, seqs []*sequence, baseMarks []bool) bool {
-	c := s.c
-	L := len(s.T)
-	marks := s.resimMarksScratch()
-	for _, sq := range seqs {
-		copy(marks, baseMarks)
-		resolved := false
-		for u := 0; u < L && !resolved; u++ {
-			if !marks[u] {
-				continue
-			}
-			fr := s.sim.EvalFrameSparse(sq.states[u], bad.Nodes[u], f)
-			g := s.good.Outputs[u]
-			for j, id := range c.Outputs {
-				v := fr.Read(id)
-				if v.IsBinary() && g[j].IsBinary() && v != g[j] {
-					resolved = true
-					break
-				}
-			}
-			if resolved {
-				break
-			}
-			next := sq.states[u+1]
-			for j, ff := range c.FFs {
-				v := f.Observed(ff.Q, fr.Read(ff.D))
-				if !v.IsBinary() {
-					continue
-				}
-				switch next[j] {
-				case logic.X:
-					next[j] = v
-					marks[u+1] = true
-				case v:
-					// consistent
-				default:
-					resolved = true // infeasible state sequence
-				}
-				if resolved {
-					break
-				}
-			}
-		}
-		if !resolved {
-			return false
-		}
-	}
-	return true
+	return s.resimulateVV(f, bad, seqs, baseMarks)
 }
 
 // Result aggregates a whole-fault-list run.
@@ -1048,14 +905,12 @@ type Stages struct {
 	// collected pair plus deep-backward chasing).
 	ImplyCalls int64
 	// ResimVectorPasses counts bit-parallel resimulation passes — one per
-	// expansion resimulated under Config.BitParallelResim, portfolio
-	// retries included. ResimVectorFrames counts the time frames those
-	// passes evaluated (frames with no active lane are skipped and not
-	// counted). ResimSerialFallbacks counts expansions whose sequence
-	// set exceeded the 256-lane word and ran the serial path instead.
-	ResimVectorPasses    int64
-	ResimVectorFrames    int64
-	ResimSerialFallbacks int64
+	// expansion, or one per 256-lane chunk of a wider sequence set,
+	// portfolio retries included. ResimVectorFrames counts the time
+	// frames those passes evaluated (frames with no active lane are
+	// skipped and not counted).
+	ResimVectorPasses int64
+	ResimVectorFrames int64
 	// MOTFaults counts the faults that entered the per-fault pipeline
 	// (everything the prescreen did not drop).
 	MOTFaults int
@@ -1252,7 +1107,6 @@ func (s *Simulator) RunParallelContext(ctx context.Context, faults []fault.Fault
 			sim:  seqsim.NewCompiled(s.cc),
 			hist: s.hist,
 		}
-		worker.sim.SetEventSim(s.cfg.EventSim)
 		if s.hist != nil {
 			worker.sim.SetFrameHists(s.hist.EventsPerFrame, s.hist.GatesVisitedPerFrame)
 		}

@@ -49,9 +49,8 @@ type LiveStats struct {
 	implySampleNS atomic.Int64
 	implySamples  atomic.Int64
 
-	resimVectorPasses    atomic.Int64
-	resimVectorFrames    atomic.Int64
-	resimSerialFallbacks atomic.Int64
+	resimVectorPasses atomic.Int64
+	resimVectorFrames atomic.Int64
 
 	step0NS   atomic.Int64
 	collectNS atomic.Int64
@@ -59,8 +58,6 @@ type LiveStats struct {
 	resimNS   atomic.Int64
 	totalNS   atomic.Int64
 
-	deltaFrames    atomic.Int64
-	deltaGateEvals atomic.Int64
 	fullFrames     atomic.Int64
 	eventFrames    atomic.Int64
 	eventGateEvals atomic.Int64
@@ -106,9 +103,8 @@ type LiveSnapshot struct {
 	// per worker, so the two estimates may differ slightly.
 	ImplyNS int64 `json:"imply_ns"`
 
-	ResimVectorPasses    int64 `json:"resim_vector_passes"`
-	ResimVectorFrames    int64 `json:"resim_vector_frames"`
-	ResimSerialFallbacks int64 `json:"resim_serial_fallbacks"`
+	ResimVectorPasses int64 `json:"resim_vector_passes"`
+	ResimVectorFrames int64 `json:"resim_vector_frames"`
 
 	Step0NS   int64 `json:"step0_ns"`
 	CollectNS int64 `json:"collect_ns"`
@@ -116,8 +112,6 @@ type LiveSnapshot struct {
 	ResimNS   int64 `json:"resim_ns"`
 	TotalNS   int64 `json:"total_ns"`
 
-	DeltaFrames    int64 `json:"delta_frames"`
-	DeltaGateEvals int64 `json:"delta_gate_evals"`
 	FullFrames     int64 `json:"full_frames"`
 	EventFrames    int64 `json:"event_frames"`
 	EventGateEvals int64 `json:"event_gate_evals"`
@@ -130,35 +124,32 @@ type LiveSnapshot struct {
 // goes backward between snapshots.
 func (l *LiveStats) Snapshot() LiveSnapshot {
 	s := LiveSnapshot{
-		RunsStarted:          l.runsStarted.Load(),
-		RunsDone:             l.runsDone.Load(),
-		FaultsTotal:          l.faultsTotal.Load(),
-		FaultsDone:           l.faultsDone.Load(),
-		Conv:                 l.conv.Load(),
-		MOT:                  l.mot.Load(),
-		PrunedConditionC:     l.prunedC.Load(),
-		PrescreenPasses:      l.prescreenPasses.Load(),
-		PrescreenDropped:     l.prescreenDropped.Load(),
-		PrescreenFrames:      l.prescreenFrames.Load(),
-		MOTFaults:            l.motFaults.Load(),
-		Pairs:                l.pairs.Load(),
-		Expansions:           l.expansions.Load(),
-		Sequences:            l.sequences.Load(),
-		ImplyCalls:           l.implyCalls.Load(),
-		ResimVectorPasses:    l.resimVectorPasses.Load(),
-		ResimVectorFrames:    l.resimVectorFrames.Load(),
-		ResimSerialFallbacks: l.resimSerialFallbacks.Load(),
-		Step0NS:              l.step0NS.Load(),
-		CollectNS:            l.collectNS.Load(),
-		ExpandNS:             l.expandNS.Load(),
-		ResimNS:              l.resimNS.Load(),
-		TotalNS:              l.totalNS.Load(),
-		DeltaFrames:          l.deltaFrames.Load(),
-		DeltaGateEvals:       l.deltaGateEvals.Load(),
-		FullFrames:           l.fullFrames.Load(),
-		EventFrames:          l.eventFrames.Load(),
-		EventGateEvals:       l.eventGateEvals.Load(),
-		Events:               l.events.Load(),
+		RunsStarted:       l.runsStarted.Load(),
+		RunsDone:          l.runsDone.Load(),
+		FaultsTotal:       l.faultsTotal.Load(),
+		FaultsDone:        l.faultsDone.Load(),
+		Conv:              l.conv.Load(),
+		MOT:               l.mot.Load(),
+		PrunedConditionC:  l.prunedC.Load(),
+		PrescreenPasses:   l.prescreenPasses.Load(),
+		PrescreenDropped:  l.prescreenDropped.Load(),
+		PrescreenFrames:   l.prescreenFrames.Load(),
+		MOTFaults:         l.motFaults.Load(),
+		Pairs:             l.pairs.Load(),
+		Expansions:        l.expansions.Load(),
+		Sequences:         l.sequences.Load(),
+		ImplyCalls:        l.implyCalls.Load(),
+		ResimVectorPasses: l.resimVectorPasses.Load(),
+		ResimVectorFrames: l.resimVectorFrames.Load(),
+		Step0NS:           l.step0NS.Load(),
+		CollectNS:         l.collectNS.Load(),
+		ExpandNS:          l.expandNS.Load(),
+		ResimNS:           l.resimNS.Load(),
+		TotalNS:           l.totalNS.Load(),
+		FullFrames:        l.fullFrames.Load(),
+		EventFrames:       l.eventFrames.Load(),
+		EventGateEvals:    l.eventGateEvals.Load(),
+		Events:            l.events.Load(),
 	}
 	if samples := l.implySamples.Load(); samples > 0 {
 		s.ImplyNS = l.implySampleNS.Load() * s.ImplyCalls / samples
@@ -231,7 +222,6 @@ type livePublisher struct {
 	lastImplySmps int64
 	lastResimVP   int64
 	lastResimVF   int64
-	lastResimSF   int64
 	lastSim       seqsim.SimStats
 }
 
@@ -312,12 +302,9 @@ func (p *livePublisher) flush(s *Simulator) {
 		p.lastImply, p.lastImplyNS, p.lastImplySmps = st.implyCalls, st.implySampleNS, st.implySamples
 		l.resimVectorPasses.Add(st.resimVectorPasses - p.lastResimVP)
 		l.resimVectorFrames.Add(st.resimVectorFrames - p.lastResimVF)
-		l.resimSerialFallbacks.Add(st.resimSerialFallbacks - p.lastResimSF)
-		p.lastResimVP, p.lastResimVF, p.lastResimSF = st.resimVectorPasses, st.resimVectorFrames, st.resimSerialFallbacks
+		p.lastResimVP, p.lastResimVF = st.resimVectorPasses, st.resimVectorFrames
 
 		sim := s.sim.Stats()
-		l.deltaFrames.Add(sim.DeltaFrames - p.lastSim.DeltaFrames)
-		l.deltaGateEvals.Add(sim.DeltaGateEvals - p.lastSim.DeltaGateEvals)
 		l.fullFrames.Add(sim.FullFrames - p.lastSim.FullFrames)
 		l.eventFrames.Add(sim.EventFrames - p.lastSim.EventFrames)
 		l.eventGateEvals.Add(sim.EventGateEvals - p.lastSim.EventGateEvals)

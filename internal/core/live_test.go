@@ -77,8 +77,8 @@ func TestLiveSnapshotSerialParallelCrossCheck(t *testing.T) {
 			{"Expansions", s.Expansions, int64(res.Expansions)},
 			{"Sequences", s.Sequences, int64(res.Sequences)},
 			{"ImplyCalls", s.ImplyCalls, st.ImplyCalls},
-			{"DeltaFrames", s.DeltaFrames, st.Sim.DeltaFrames},
-			{"DeltaGateEvals", s.DeltaGateEvals, st.Sim.DeltaGateEvals},
+			{"EventFrames", s.EventFrames, st.Sim.EventFrames},
+			{"EventGateEvals", s.EventGateEvals, st.Sim.EventGateEvals},
 			{"FullFrames", s.FullFrames, st.Sim.FullFrames},
 		}
 		for _, c := range checks {
@@ -124,7 +124,7 @@ func TestLiveSnapshotMonotonic(t *testing.T) {
 			{"MOTFaults", prev.MOTFaults, cur.MOTFaults},
 			{"ImplyCalls", prev.ImplyCalls, cur.ImplyCalls},
 			{"Pairs", prev.Pairs, cur.Pairs},
-			{"DeltaFrames", prev.DeltaFrames, cur.DeltaFrames},
+			{"EventFrames", prev.EventFrames, cur.EventFrames},
 			{"Step0NS", prev.Step0NS, cur.Step0NS},
 			{"PrescreenFrames", prev.PrescreenFrames, cur.PrescreenFrames},
 		} {
@@ -158,7 +158,7 @@ func TestLiveMetricsOffStillCounts(t *testing.T) {
 		t.Errorf("snapshot counters wrong with metrics off: %+v vs result %d/%d/%d",
 			s, res.Total, res.Conv, res.MOT)
 	}
-	if s.ImplyCalls != 0 || s.Step0NS != 0 || s.DeltaFrames != 0 {
+	if s.ImplyCalls != 0 || s.Step0NS != 0 || s.EventFrames != 0 {
 		t.Errorf("metrics-off run published pipeline internals: %+v", s)
 	}
 	if s.MOTFaults == 0 {

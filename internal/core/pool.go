@@ -50,11 +50,8 @@ type simPools struct {
 	// seqFree recycles expansion sequences (flat value slab plus row
 	// headers) across faults.
 	seqFree []*sequence
-	// expMarks, resimVals and resimMarks are per-call scratch for expand
-	// and resimulate.
-	expMarks   []bool
-	resimVals  []logic.Val
-	resimMarks []bool
+	// expMarks is expand's per-call marked-time-unit scratch.
+	expMarks []bool
 	// badTrace is the reused faulty-machine trace filled by RunFaultInto.
 	// Safe to recycle per fault: SimulateFault consumes it entirely before
 	// returning.
@@ -81,11 +78,7 @@ type simPools struct {
 }
 
 // runBad simulates the faulty machine for f, reusing the pooled trace.
-// The Reference configuration keeps the allocate-per-fault RunFault path.
 func (s *Simulator) runBad(f fault.Fault) (*seqsim.Trace, seqsim.Detection, bool, error) {
-	if s.cfg.Reference {
-		return s.sim.RunFault(s.T, s.good, f, s.cfg.UseBackwardImplications)
-	}
 	if s.pools.badTrace == nil {
 		s.pools.badTrace = seqsim.NewTrace(s.c, len(s.T), s.cfg.UseBackwardImplications)
 		if st := s.stats; st != nil {
@@ -245,9 +238,6 @@ func (s *Simulator) newSeq() *sequence {
 
 // seqFromStates builds the expansion's base sequence from a state matrix.
 func (s *Simulator) seqFromStates(states [][]logic.Val) *sequence {
-	if s.cfg.Reference {
-		return &sequence{states: cloneStates(states)}
-	}
 	sq := s.newSeq()
 	for u, row := range states {
 		copy(sq.states[u], row)
@@ -257,9 +247,6 @@ func (s *Simulator) seqFromStates(states [][]logic.Val) *sequence {
 
 // cloneSeq duplicates a sequence for a phase-2 expansion.
 func (s *Simulator) cloneSeq(src *sequence) *sequence {
-	if s.cfg.Reference {
-		return &sequence{states: cloneStates(src.states)}
-	}
 	dst := s.newSeq()
 	copy(dst.flat, src.flat)
 	return dst
@@ -280,9 +267,6 @@ func (s *Simulator) releaseSeqs(seqs []*sequence) {
 // retry's expansion never reads the first expansion's marks).
 func (s *Simulator) marksScratch() []bool {
 	n := len(s.T) + 1
-	if s.cfg.Reference {
-		return make([]bool, n)
-	}
 	if cap(s.pools.expMarks) < n {
 		s.pools.expMarks = make([]bool, n)
 		return s.pools.expMarks
@@ -292,36 +276,4 @@ func (s *Simulator) marksScratch() []bool {
 		marks[i] = false
 	}
 	return marks
-}
-
-// resimScratch returns the node-value and marks buffers for resimulate.
-// Neither needs clearing: EvalFrame writes every node, and resimulate
-// copies the base marks over the full marks buffer per sequence.
-func (s *Simulator) resimScratch() ([]logic.Val, []bool) {
-	nNodes, nMarks := s.c.NumNodes(), len(s.T)+1
-	if s.cfg.Reference {
-		return make([]logic.Val, nNodes), make([]bool, nMarks)
-	}
-	if cap(s.pools.resimVals) < nNodes {
-		s.pools.resimVals = make([]logic.Val, nNodes)
-	}
-	if cap(s.pools.resimMarks) < nMarks {
-		s.pools.resimMarks = make([]bool, nMarks)
-	}
-	return s.pools.resimVals[:nNodes], s.pools.resimMarks[:nMarks]
-}
-
-// resimMarksScratch returns only the marks buffer, for the sparse
-// resimulation path (resimulateSparse): frame values live in the event
-// evaluator's overlay, so the dense node-value buffer is never
-// allocated there.
-func (s *Simulator) resimMarksScratch() []bool {
-	nMarks := len(s.T) + 1
-	if s.cfg.Reference {
-		return make([]bool, nMarks)
-	}
-	if cap(s.pools.resimMarks) < nMarks {
-		s.pools.resimMarks = make([]bool, nMarks)
-	}
-	return s.pools.resimMarks[:nMarks]
 }

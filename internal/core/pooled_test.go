@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/circuits"
@@ -10,60 +11,57 @@ import (
 	"repro/internal/tgen"
 )
 
-// crossCheckPooled runs the fault list with the default pooled/trail path
-// and with Config.Reference (the retained allocate-per-pair path) and
-// asserts every FaultOutcome is byte-identical: outcome, detection site,
-// counters, expansions, sequences, pairs, and the classification flags.
-// FaultOutcome has no reference-typed fields, so != is an exact
-// field-by-field comparison. The pooled path is exercised serially (one
-// simulator reusing its pools across the whole list) and in parallel
-// (per-worker pools).
+// crossCheckPooled checks the pooled/trail pair collection pair by pair
+// against the allocate-per-pair reference (collectPairsRef) for every
+// fault that reaches Section 3.1, then the whole pipeline against the
+// reference pipeline (crossCheckReference). The pooled path runs serially
+// (one simulator reusing its pools across the whole list) and in
+// parallel (per-worker pools).
 func crossCheckPooled(t *testing.T, c *netlist.Circuit, T seqsim.Sequence, faults []fault.Fault, cfg Config) {
 	t.Helper()
-	ref := cfg
-	ref.Reference = true
-	pooled := cfg
-	pooled.Reference = false
-
-	simRef, err := NewSimulator(c, T, ref)
+	s, err := NewSimulator(c, T, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	simPooled, err := NewSimulator(c, T, pooled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resRef, err := simRef.Run(faults, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resPooled, err := simPooled.Run(faults, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resPar, err := simPooled.RunParallel(faults, 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for name, res := range map[string]*Result{"serial": resPooled, "parallel": resPar} {
-		if len(res.Outcomes) != len(resRef.Outcomes) {
-			t.Fatalf("%s: %d pooled outcomes, %d reference", name, len(res.Outcomes), len(resRef.Outcomes))
+	for _, f := range faults {
+		bad, _, detected, err := s.runBad(f)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for k := range res.Outcomes {
-			if res.Outcomes[k] != resRef.Outcomes[k] {
-				t.Fatalf("%s: fault %s differs from reference:\n  pooled: %+v\n  ref:    %+v",
-					name, faults[k].Name(c), res.Outcomes[k], resRef.Outcomes[k])
+		if detected {
+			continue
+		}
+		nsv, nout := s.profile(bad)
+		if !conditionC(nsv, nout) {
+			continue
+		}
+		want := s.collectPairsRef(&f, bad, nout)
+		got := s.collectPairs(&f, bad, nout)
+		if len(got) != len(want) {
+			t.Fatalf("fault %s: %d pooled pairs, reference %d", f.Name(c), len(got), len(want))
+		}
+		for k := range got {
+			if !reflect.DeepEqual(normPair(got[k]), normPair(want[k])) {
+				t.Fatalf("fault %s pair %d differs from reference:\n  pooled: %+v\n  ref:    %+v",
+					f.Name(c), k, got[k], want[k])
 			}
 		}
-		if res.Conv != resRef.Conv || res.MOT != resRef.MOT || res.Sum != resRef.Sum ||
-			res.Expansions != resRef.Expansions || res.Pairs != resRef.Pairs ||
-			res.Sequences != resRef.Sequences || res.Identified != resRef.Identified ||
-			res.PrunedConditionC != resRef.PrunedConditionC {
-			t.Fatalf("%s: aggregates differ from reference:\n  pooled: %+v\n  ref:    %+v",
-				name, res, resRef)
+	}
+	crossCheckReference(t, c, T, faults, cfg)
+}
+
+// normPair maps empty slices to nil so arena-backed and freshly
+// allocated pairs compare equal under reflect.DeepEqual.
+func normPair(p pairInfo) pairInfo {
+	for a := range p.extra {
+		if len(p.extra[a]) == 0 {
+			p.extra[a] = nil
 		}
 	}
+	if len(p.sv) == 0 {
+		p.sv = nil
+	}
+	return p
 }
 
 func TestPooledCrossCheckS27(t *testing.T) {

@@ -56,9 +56,9 @@ func resimSetup(t *testing.T, L int) (*Simulator, fault.Fault, *seqsim.Trace) {
 // testResimulate mirrors the expand/resimulate coupling for hand-built
 // sequences: it seeds the assigned state variables by diffing each
 // sequence against the base trace (as expand records them), then runs
-// the bit-parallel pass and the serial path and asserts they agree. The
-// vector pass runs first — the serial path refines sequence states in
-// place, the vector pass packs a copy.
+// resimulate and the serial reference and asserts they agree. The vector
+// pass runs first — the reference refines sequence states in place, the
+// vector pass packs a copy.
 func testResimulate(t *testing.T, s *Simulator, f *fault.Fault, bad *seqsim.Trace, seqs []*sequence, marks []bool) bool {
 	t.Helper()
 	s.seedReset()
@@ -71,12 +71,9 @@ func testResimulate(t *testing.T, s *Simulator, f *fault.Fault, bad *seqsim.Trac
 			}
 		}
 	}
-	bp := s.resimulateVV(f, bad, seqs, marks)
-	s.cfg.BitParallelResim = false
-	serial := s.resimulate(f, bad, seqs, marks)
-	s.cfg.BitParallelResim = true
-	if bp != serial {
-		t.Fatalf("bit-parallel resimulate = %v, serial = %v", bp, serial)
+	bp := s.resimulate(f, bad, seqs, marks)
+	if serial := s.resimulateRef(f, seqs, marks); bp != serial {
+		t.Fatalf("resimulate = %v, serial reference = %v", bp, serial)
 	}
 	return bp
 }
@@ -155,5 +152,41 @@ func TestResimulateAllSequencesRequired(t *testing.T) {
 	// frame; simulation specifies nothing that conflicts, so it survives.
 	if testResimulate(t, s, &f, bad, []*sequence{det, surv}, marks) {
 		t.Fatal("survivor ignored")
+	}
+}
+
+// TestResimulateChunked covers sequence sets wider than one 256-lane
+// word: they replay as successive chunks, the fault is detected only
+// when every chunk resolves, and the replay stops at the first chunk
+// with an unresolved lane.
+func TestResimulateChunked(t *testing.T) {
+	const n = 600 // chunks of 256, 256 and 88 lanes
+	for _, tc := range []struct {
+		survivor   int // index of the one unresolved sequence, or -1
+		want       bool
+		wantPasses int
+	}{
+		{-1, true, 3},
+		{0, false, 1},
+		{300, false, 2},
+		{n - 1, false, 3},
+	} {
+		s, f, bad := resimSetup(t, 3)
+		seqs := make([]*sequence, n)
+		for k := range seqs {
+			seqs[k] = &sequence{states: cloneStates(bad.States)}
+			if k != tc.survivor {
+				seqs[k].states[0][0] = logic.One // detects at time 0
+			}
+		}
+		marks := make([]bool, 4)
+		marks[0] = true
+		s.lastResim = ResimTrace{}
+		if got := testResimulate(t, s, &f, bad, seqs, marks); got != tc.want {
+			t.Errorf("survivor %d: resimulate = %v, want %v", tc.survivor, got, tc.want)
+		}
+		if s.lastResim.VectorPasses != tc.wantPasses {
+			t.Errorf("survivor %d: %d vector passes, want %d", tc.survivor, s.lastResim.VectorPasses, tc.wantPasses)
+		}
 	}
 }

@@ -237,20 +237,6 @@ func TestTraceWorkersCrossCheck(t *testing.T) {
 	}
 }
 
-// TestTraceReferencePooledCrossCheck asserts the pooled and Reference
-// pipelines emit byte-identical traces — the pooling layer must not
-// change any traced value.
-func TestTraceReferencePooledCrossCheck(t *testing.T) {
-	c, T, faults := statsSetup(t)
-	pooled, _ := traceRun(t, c, T, faults, DefaultConfig(), 1)
-	ref := DefaultConfig()
-	ref.Reference = true
-	refTr, _ := traceRun(t, c, T, faults, ref, 4)
-	if pooled != refTr {
-		t.Fatalf("trace differs between pooled and Reference:\n--- pooled ---\n%s\n--- reference ---\n%s", pooled, refTr)
-	}
-}
-
 // TestTraceTimingsPooled checks the opt-in timing fields: present on
 // faults that entered the per-fault pipeline, absent without the flag,
 // and rejected without Metrics.

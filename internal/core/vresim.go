@@ -2,16 +2,15 @@ package core
 
 // Bit-parallel resimulation of expanded state sequences (Section 3.4).
 //
-// The serial resimulate walks one sequence at a time through full-frame
-// evaluations. The expanded sequences of one fault differ only in a
-// handful of injected state-variable values, so almost all of that work
-// is redundant across sequences. Here every sequence rides one lane of
-// a 256-lane cir.VV4 word: lane k carries sequence k's state values,
-// and one vector pass over the fault's region evaluates every sequence
-// at once. Per-lane bit masks replace the serial per-sequence control
-// flow (marked time units, detection, infeasibility conflicts), with
-// semantics proved lane-for-lane identical to the serial path and
-// asserted so by the cross-check tests.
+// The expanded sequences of one fault differ only in a handful of
+// injected state-variable values, so resimulating them one at a time
+// would repeat almost all of the work. Instead every sequence rides one
+// lane of a 256-lane cir.VV4 word: lane k carries sequence k's state
+// values, and one vector pass over the fault's region evaluates every
+// sequence at once. Per-lane bit masks replace the per-sequence control
+// flow of Section 3.4 (marked time units, detection, infeasibility
+// conflicts); the tests check the pass lane-for-lane against a serial
+// dense-EvalFrame reference.
 //
 // The pass is confined to the fault's *region* (cir.Region): the
 // sequential fanout closure of the fault site plus the Q nodes of every
@@ -37,16 +36,15 @@ import (
 type laneMask [4]uint64
 
 // ResimTrace summarizes the resimulation passes of one fault for the
-// JSONL trace: how many expansions resimulated bit-parallel, the frames
-// those vector passes evaluated, the lanes they packed (summed over
-// passes — the portfolio retry adds a second pass), and how many
-// expansions exceeded the 256-lane word and fell back to the serial
-// path. All fields are deterministic for a given configuration.
+// JSONL trace: how many vector passes ran (one per expansion, or one per
+// 256-lane chunk of a wider sequence set), the frames those passes
+// evaluated, and the lanes they packed (summed over passes — the
+// portfolio retry adds a second pass). All fields are deterministic for
+// a given configuration.
 type ResimTrace struct {
-	VectorPasses    int `json:"resim_vector_passes,omitempty"`
-	VectorFrames    int `json:"resim_vector_frames,omitempty"`
-	Lanes           int `json:"resim_lanes,omitempty"`
-	SerialFallbacks int `json:"resim_serial_fallbacks,omitempty"`
+	VectorPasses int `json:"resim_vector_passes,omitempty"`
+	VectorFrames int `json:"resim_vector_frames,omitempty"`
+	Lanes        int `json:"resim_lanes,omitempty"`
 }
 
 // seedReset starts a new epoch of the expansion-assigned state-variable
@@ -74,14 +72,9 @@ func (s *Simulator) seedAdd(j int) {
 	}
 }
 
-// resimRegion fills (and in Reference mode allocates) the region for
-// the current fault and seed set.
+// resimRegion fills the pooled region for the current fault and seed
+// set.
 func (s *Simulator) resimRegion(f *fault.Fault) *cir.Region {
-	if s.cfg.Reference {
-		r := s.cc.NewRegion()
-		s.cc.FillRegion(f, s.pools.seedFFs, r)
-		return r
-	}
 	if s.pools.region == nil {
 		s.pools.region = s.cc.NewRegion()
 	}
@@ -96,15 +89,6 @@ func (s *Simulator) resimRegion(f *fault.Fault) *cir.Region {
 func (s *Simulator) vresimScratch(nq int) (vals []cir.VV4, state [][]cir.VV4, markRows []laneMask) {
 	nNodes, rows := s.c.NumNodes(), len(s.T)+1
 	need := rows * nq
-	if s.cfg.Reference {
-		vals = make([]cir.VV4, nNodes)
-		flat := make([]cir.VV4, need)
-		state = make([][]cir.VV4, rows)
-		for u := 0; u < rows; u++ {
-			state[u] = flat[u*nq : (u+1)*nq : (u+1)*nq]
-		}
-		return vals, state, make([]laneMask, rows)
-	}
 	p := &s.pools
 	if cap(p.vvVals) < nNodes {
 		p.vvVals = make([]cir.VV4, nNodes)
@@ -131,16 +115,13 @@ func (s *Simulator) vresimScratch(nq int) (vals []cir.VV4, state [][]cir.VV4, ma
 // entries for the current region's QFFs are filled; stale entries are
 // never read (every lookup is for a flip-flop whose Q is in the region).
 func (s *Simulator) qPosScratch() []int32 {
-	if s.cfg.Reference {
-		return make([]int32, s.c.NumFFs())
-	}
 	if len(s.pools.qPos) != s.c.NumFFs() {
 		s.pools.qPos = make([]int32, s.c.NumFFs())
 	}
 	return s.pools.qPos
 }
 
-// resimulateVV is the bit-parallel implementation of resimulate: every
+// resimulateVV resimulates up to 256 sequences in one vector pass: every
 // sequence occupies one lane, and each frame evaluates the fault's
 // region once for all sequences. Caller guarantees len(seqs) <= 256 and
 // that seqs came from the immediately preceding expand call (whose
@@ -176,9 +157,8 @@ func (s *Simulator) resimulateVV(f *fault.Fault, bad *seqsim.Trace, seqs []*sequ
 	// Pack. Every lane starts as the shared base (bad) trace; sequences
 	// diverge from it only at marked time units on expansion-assigned
 	// state variables (expand marks every unit it writes), so only those
-	// cells are scanned for per-lane diffs. The serial path's
-	// per-sequence copy of baseMarks becomes an all-lanes mask per
-	// marked unit.
+	// cells are scanned for per-lane diffs. Each sequence's copy of
+	// baseMarks becomes an all-lanes mask per marked unit.
 	for u := 0; u <= L; u++ {
 		row, badRow := state[u], bad.States[u]
 		for qi, j := range reg.QFFs {
@@ -428,7 +408,7 @@ func (s *Simulator) resimulateVV(f *fault.Fault, bad *seqsim.Trace, seqs []*sequ
 		}
 
 		// Detections: a lane whose binary output value contradicts a
-		// binary fault-free response resolves, exactly the serial scan.
+		// binary fault-free response resolves, as in a per-sequence scan.
 		// Only region outputs can differ (the region contains the cone).
 		var det laneMask
 		goodOuts := s.good.Outputs[u]
@@ -455,13 +435,13 @@ func (s *Simulator) resimulateVV(f *fault.Fault, bad *seqsim.Trace, seqs []*sequ
 			anyAct |= act[w]
 		}
 		if anyAct == 0 {
-			// Every active lane detected this frame; the serial path
-			// breaks out before the next-state step, so do we.
+			// Every active lane detected this frame; a detected
+			// sequence skips the next-state step.
 			continue
 		}
 
 		// Next-state comparison against the packed state at u+1, lane
-		// rules identical to the serial switch: a binary computed value
+		// rules identical to a per-sequence comparison: a binary computed value
 		// against X refines the lane (and marks u+1 for it), against the
 		// opposite binary value conflicts (infeasible sequence, lane
 		// resolved, later flip-flops untouched — act drops the lane).

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/cir"
 	"repro/internal/circuits"
 	"repro/internal/fault"
 	"repro/internal/logic"
@@ -12,58 +13,50 @@ import (
 	"repro/internal/tgen"
 )
 
-// crossCheckBPResim runs the fault list with the bit-parallel
-// resimulation on and off and asserts every FaultOutcome is
-// byte-identical (FaultOutcome has no reference-typed fields, so != is
-// an exact field-by-field comparison). The bit-parallel path is
-// exercised serially and through RunParallel (per-worker regions and
-// lane scratch).
-func crossCheckBPResim(t *testing.T, c *netlist.Circuit, T seqsim.Sequence, faults []fault.Fault, cfg Config) {
+// crossCheckBPResim drives every fault of the list through the engine's
+// stages up to expansion and checks each expansion's resimulate verdict
+// (256-lane vector passes, chunked above 256 sequences) against the
+// serial dense reference resimulateRef, for both the proposed expansion
+// and the portfolio retry's trivial one. One simulator serves the whole
+// list, so its pooled region, lane scratch and seed sets are reused
+// across faults of widely varying expansion shapes. It returns the
+// largest sequence set resimulated.
+func crossCheckBPResim(t *testing.T, c *netlist.Circuit, T seqsim.Sequence, faults []fault.Fault, cfg Config) (widest int) {
 	t.Helper()
-	serial := cfg
-	serial.BitParallelResim = false
-	vector := cfg
-	vector.BitParallelResim = true
-
-	simSerial, err := NewSimulator(c, T, serial)
+	s, err := NewSimulator(c, T, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	simVector, err := NewSimulator(c, T, vector)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resSerial, err := simSerial.Run(faults, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resVector, err := simVector.Run(faults, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resPar, err := simVector.RunParallel(faults, 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for name, res := range map[string]*Result{"serial": resVector, "parallel": resPar} {
-		if len(res.Outcomes) != len(resSerial.Outcomes) {
-			t.Fatalf("%s: %d bit-parallel outcomes, %d serial", name, len(res.Outcomes), len(resSerial.Outcomes))
+	for _, f := range faults {
+		bad, _, detected, err := s.runBad(f)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for k := range res.Outcomes {
-			if res.Outcomes[k] != resSerial.Outcomes[k] {
-				t.Fatalf("%s: fault %s differs from serial resim:\n  bit-parallel: %+v\n  serial:       %+v",
-					name, faults[k].Name(c), res.Outcomes[k], resSerial.Outcomes[k])
+		if detected {
+			continue
+		}
+		nsv, nout := s.profile(bad)
+		if !conditionC(nsv, nout) {
+			continue
+		}
+		pairs := s.collectPairs(&f, bad, nout)
+		for pass, ps := range [][]pairInfo{pairs, s.trivialPairs(bad, nout)} {
+			var out FaultOutcome
+			seqs, marks := s.expand(ps, bad, nsv, nout, &out)
+			widest = max(widest, len(seqs))
+			refSeqs := make([]*sequence, len(seqs))
+			for k, sq := range seqs {
+				refSeqs[k] = &sequence{states: cloneStates(sq.states)}
 			}
-		}
-		if res.Conv != resSerial.Conv || res.MOT != resSerial.MOT || res.Sum != resSerial.Sum ||
-			res.Expansions != resSerial.Expansions || res.Pairs != resSerial.Pairs ||
-			res.Sequences != resSerial.Sequences || res.Identified != resSerial.Identified ||
-			res.PrunedConditionC != resSerial.PrunedConditionC {
-			t.Fatalf("%s: aggregates differ from serial resim:\n  bit-parallel: %+v\n  serial:       %+v",
-				name, res, resSerial)
+			got := s.resimulate(&f, bad, seqs, marks)
+			if want := s.resimulateRef(&f, refSeqs, marks); got != want {
+				t.Fatalf("fault %s expansion %d (%d sequences): resimulate = %v, serial reference = %v",
+					f.Name(c), pass, len(seqs), got, want)
+			}
+			s.releaseSeqs(seqs)
 		}
 	}
+	return widest
 }
 
 func TestBPResimCrossCheckS27(t *testing.T) {
@@ -106,10 +99,8 @@ func TestBPResimCrossCheckLongList(t *testing.T) {
 // TestBPResimCrossCheckVariants sweeps the configuration axes that
 // change what reaches resimulation: the [4] baseline (no implication
 // pruning, more surviving sequences), deep backward implications, the
-// fixpoint schedule, a tight pair cap, a small sequence budget (more
-// portfolio retries), the Reference allocation mode (fresh region and
-// lane scratch per pass), and the prescreen off (conventionally
-// detected faults resimulate too).
+// fixpoint schedule, a tight pair cap, a small sequence budget, and the
+// prescreen off.
 func TestBPResimCrossCheckVariants(t *testing.T) {
 	c := circuits.S27()
 	T := tgen.Random(c.NumInputs(), 20, 27)
@@ -121,7 +112,6 @@ func TestBPResimCrossCheckVariants(t *testing.T) {
 		"fixpoint":     func(cfg *Config) { cfg.Schedule = Fixpoint },
 		"maxpairs4":    func(cfg *Config) { cfg.MaxPairs = 4 },
 		"nstates2":     func(cfg *Config) { cfg.NStates = 2 },
-		"reference":    func(cfg *Config) { cfg.Reference = true },
 		"no-prescreen": func(cfg *Config) { cfg.Prescreen = false },
 	}
 	for name, tweak := range variants {
@@ -130,6 +120,24 @@ func TestBPResimCrossCheckVariants(t *testing.T) {
 			tweak(&cfg)
 			crossCheckBPResim(t, c, T, faults, cfg)
 		})
+	}
+}
+
+// TestBPResimCrossCheckChunkedLongList raises N_STATES to 512 on the
+// uncollapsed sg208 list, so expansions wider than one 256-lane word
+// resimulate as successive chunks, and checks them against the serial
+// reference.
+func TestBPResimCrossCheckChunkedLongList(t *testing.T) {
+	e, err := circuits.SuiteEntryByName("sg208")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := e.Build()
+	T := tgen.Random(c.NumInputs(), 24, e.SeqSeed)
+	cfg := DefaultConfig()
+	cfg.NStates = 512
+	if widest := crossCheckBPResim(t, c, T, fault.List(c), cfg); widest <= cir.Lanes4 {
+		t.Fatalf("widest sequence set %d fits one %d-lane word; no chunked replay exercised", widest, cir.Lanes4)
 	}
 }
 
@@ -150,7 +158,7 @@ o3 = OR(q1, q2)
 `
 
 // FuzzResimCrossCheck drives hand-built divergent expansion sets
-// through both resimulation paths and asserts they agree. The fuzz
+// through resimulate and the serial reference and asserts they agree. The fuzz
 // input is decoded as (time unit, state variable, value) triples under
 // the expand invariants: assignments are binary, land at time units
 // below L, and mark the unit they write.

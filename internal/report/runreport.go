@@ -55,10 +55,9 @@ type StagesReport struct {
 	ExpandNS  int64 `json:"expand_ns"`
 	ResimNS   int64 `json:"resim_ns"`
 
-	ImplyCalls           int64 `json:"imply_calls"`
-	ResimVectorPasses    int64 `json:"resim_vector_passes"`
-	ResimVectorFrames    int64 `json:"resim_vector_frames"`
-	ResimSerialFallbacks int64 `json:"resim_serial_fallbacks"`
+	ImplyCalls        int64 `json:"imply_calls"`
+	ResimVectorPasses int64 `json:"resim_vector_passes"`
+	ResimVectorFrames int64 `json:"resim_vector_frames"`
 
 	MOTFaults int             `json:"mot_faults"`
 	Pool      core.PoolStats  `json:"pool"`
@@ -111,7 +110,6 @@ func NewRunReport(res *core.Result, method string, patterns, workers int, elapse
 			ImplyCalls:           st.ImplyCalls,
 			ResimVectorPasses:    st.ResimVectorPasses,
 			ResimVectorFrames:    st.ResimVectorFrames,
-			ResimSerialFallbacks: st.ResimSerialFallbacks,
 			MOTFaults:            st.MOTFaults,
 			Pool:                 st.Pool,
 			Sim:                  st.Sim,
@@ -178,17 +176,17 @@ func FormatRunStats(res *core.Result) string {
 	}
 	fmt.Fprintf(&sb, "    %-24s %12s\n", "total (CPU)", cpu.Round(time.Microsecond))
 	fmt.Fprintf(&sb, "  implication calls: %d\n", st.ImplyCalls)
-	if st.ResimVectorPasses > 0 || st.ResimSerialFallbacks > 0 {
-		fmt.Fprintf(&sb, "  bit-parallel resim: %d vector passes over %d frames, %d serial fallbacks\n",
-			st.ResimVectorPasses, st.ResimVectorFrames, st.ResimSerialFallbacks)
+	if st.ResimVectorPasses > 0 {
+		fmt.Fprintf(&sb, "  bit-parallel resim: %d vector passes over %d frames\n",
+			st.ResimVectorPasses, st.ResimVectorFrames)
 	}
 	if st.PrescreenFrames > 0 {
 		fmt.Fprintf(&sb, "  prescreen frames: %d simulated, %d saved by early exit\n",
 			st.PrescreenFrames, st.PrescreenSavedFrames)
 	}
-	if sim := st.Sim; sim.DeltaFrames+sim.EventFrames+sim.FullFrames > 0 {
-		fmt.Fprintf(&sb, "  serial sim frames: %d delta (%d gate evals), %d event (%d gate evals, %d events), %d full\n",
-			sim.DeltaFrames, sim.DeltaGateEvals, sim.EventFrames, sim.EventGateEvals, sim.Events, sim.FullFrames)
+	if sim := st.Sim; sim.EventFrames+sim.FullFrames > 0 {
+		fmt.Fprintf(&sb, "  serial sim frames: %d event (%d gate evals, %d events), %d full\n",
+			sim.EventFrames, sim.EventGateEvals, sim.Events, sim.FullFrames)
 	}
 	if p := st.Pool; p != (core.PoolStats{}) {
 		fmt.Fprintf(&sb, "  pools: frames %d reused / %d allocated; seqs %d reused / %d allocated; traces %d reused / %d allocated\n",
@@ -231,10 +229,10 @@ func FormatLiveSnapshot(s core.LiveSnapshot) string {
 		s.PrescreenPasses, s.PrescreenDropped, s.PrescreenFrames)
 	fmt.Fprintf(&sb, "    pipeline: %d faults, %d pairs, %d expansions, %d sequences, %d implication calls\n",
 		s.MOTFaults, s.Pairs, s.Expansions, s.Sequences, s.ImplyCalls)
-	fmt.Fprintf(&sb, "    bit-parallel resim: %d vector passes over %d frames, %d serial fallbacks\n",
-		s.ResimVectorPasses, s.ResimVectorFrames, s.ResimSerialFallbacks)
-	fmt.Fprintf(&sb, "    serial sim frames: %d delta (%d gate evals), %d event (%d gate evals, %d events), %d full\n",
-		s.DeltaFrames, s.DeltaGateEvals, s.EventFrames, s.EventGateEvals, s.Events, s.FullFrames)
+	fmt.Fprintf(&sb, "    bit-parallel resim: %d vector passes over %d frames\n",
+		s.ResimVectorPasses, s.ResimVectorFrames)
+	fmt.Fprintf(&sb, "    serial sim frames: %d event (%d gate evals, %d events), %d full\n",
+		s.EventFrames, s.EventGateEvals, s.Events, s.FullFrames)
 	fmt.Fprintf(&sb, "    stage seconds: step0=%.3f collect=%.3f (imply~%.3f) expand=%.3f resim=%.3f total=%.3f\n",
 		float64(s.Step0NS)/1e9, float64(s.CollectNS)/1e9, float64(s.ImplyNS)/1e9,
 		float64(s.ExpandNS)/1e9, float64(s.ResimNS)/1e9, float64(s.TotalNS)/1e9)

@@ -49,42 +49,42 @@ func randomCircuitWide(rng *rand.Rand, nPI, nFF, nGates int) (*netlist.Circuit, 
 	return b.Build()
 }
 
-// compareTraces asserts two traces agree on every stored row.
-func compareTraces(t *testing.T, tag string, a, b *Trace) {
+// compareTraces asserts the trace got agrees with want on every stored
+// row of got (a dropped fault's trace is a prefix of the full one).
+func compareTraces(t *testing.T, tag string, got, want *Trace) {
 	t.Helper()
-	for u := range a.States {
-		for j := range a.States[u] {
-			if a.States[u][j] != b.States[u][j] {
-				t.Fatalf("%s: state[%d][%d] event=%v level=%v", tag, u, j, a.States[u][j], b.States[u][j])
+	for u := range got.States {
+		for j := range got.States[u] {
+			if got.States[u][j] != want.States[u][j] {
+				t.Fatalf("%s: state[%d][%d] event=%v golden=%v", tag, u, j, got.States[u][j], want.States[u][j])
 			}
 		}
 	}
-	for u := range a.Outputs {
-		for j := range a.Outputs[u] {
-			if a.Outputs[u][j] != b.Outputs[u][j] {
-				t.Fatalf("%s: output[%d][%d] event=%v level=%v", tag, u, j, a.Outputs[u][j], b.Outputs[u][j])
+	for u := range got.Outputs {
+		for j := range got.Outputs[u] {
+			if got.Outputs[u][j] != want.Outputs[u][j] {
+				t.Fatalf("%s: output[%d][%d] event=%v golden=%v", tag, u, j, got.Outputs[u][j], want.Outputs[u][j])
 			}
 		}
 	}
-	if (a.Nodes == nil) != (b.Nodes == nil) {
+	if (got.Nodes == nil) != (want.Nodes == nil) {
 		t.Fatalf("%s: node rows kept on one trace only", tag)
 	}
-	for u := range a.Nodes {
-		for n := range a.Nodes[u] {
-			if a.Nodes[u][n] != b.Nodes[u][n] {
-				t.Fatalf("%s: node[%d][%d] event=%v level=%v", tag, u, n, a.Nodes[u][n], b.Nodes[u][n])
+	for u := range got.Nodes {
+		for n := range got.Nodes[u] {
+			if got.Nodes[u][n] != want.Nodes[u][n] {
+				t.Fatalf("%s: node[%d][%d] event=%v golden=%v", tag, u, n, got.Nodes[u][n], want.Nodes[u][n])
 			}
 		}
 	}
 }
 
-// TestEventSimMatchesLevelOrder is the evaluator-twin property test:
-// the event-driven sparse-delta evaluator and the retained level-order
-// copy-and-propagate path must produce byte-identical traces (states,
-// outputs and per-node rows), identical detections, and — because the
-// level path is change-driven too — identical gate-visit and event
-// counts, for random circuits, faults and sequences including 3- and
-// 4-input gates.
+// TestEventSimMatchesLevelOrder checks the event-driven sparse-delta
+// evaluator against goldenRun, the level-order full-pass simulator on
+// the pointer netlist: byte-identical traces (states, outputs and
+// per-node rows) up to the first detection, the golden first detection,
+// and one event frame per faulty frame simulated, for random circuits,
+// faults and sequences including 3- and 4-input gates.
 func TestEventSimMatchesLevelOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	for trial := 0; trial < 40; trial++ {
@@ -94,8 +94,6 @@ func TestEventSimMatchesLevelOrder(t *testing.T) {
 		}
 		T := randomSequence(rng, c.NumInputs(), 2+rng.Intn(5))
 		ev := New(c)
-		lv := New(c)
-		lv.SetEventSim(false)
 		good, err := ev.Run(T, nil, true)
 		if err != nil {
 			t.Fatal(err)
@@ -104,37 +102,27 @@ func TestEventSimMatchesLevelOrder(t *testing.T) {
 		for k := 0; k < 8; k++ {
 			f := faults[rng.Intn(len(faults))]
 			ev.ResetStats()
-			lv.ResetStats()
-			trEv, atEv, detEv, err := ev.RunFault(T, good, f, true)
+			tr, at, det, err := ev.RunFault(T, good, f, true)
 			if err != nil {
 				t.Fatal(err)
 			}
-			trLv, atLv, detLv, err := lv.RunFault(T, good, f, true)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := goldenRun(c, T, &f, true)
+			wantAt, wantDet := FirstDetection(good, want)
 			tag := fmt.Sprintf("trial %d fault %s", trial, f.Name(c))
-			if detEv != detLv || atEv != atLv {
-				t.Fatalf("%s: detection event=(%v,%+v) level=(%v,%+v)", tag, detEv, atEv, detLv, atLv)
+			if det != wantDet || (det && at != wantAt) {
+				t.Fatalf("%s: detection event=(%v,%+v) golden=(%v,%+v)", tag, det, at, wantDet, wantAt)
 			}
-			compareTraces(t, tag, trEv, trLv)
-
-			se, sl := ev.Stats(), lv.Stats()
-			if se.DeltaFrames != 0 || sl.EventFrames != 0 {
-				t.Fatalf("%s: evaluators crossed paths: event=%+v level=%+v", tag, se, sl)
-			}
-			if se.EventFrames != sl.DeltaFrames || se.EventGateEvals != sl.DeltaGateEvals ||
-				se.Events != sl.Events || se.FullFrames != sl.FullFrames {
-				t.Fatalf("%s: counter parity broken:\n  event: %+v\n  level: %+v", tag, se, sl)
+			compareTraces(t, tag, tr, want)
+			if st := ev.Stats(); st.EventFrames != int64(len(tr.Outputs)) || st.FullFrames != 0 {
+				t.Fatalf("%s: %+v for %d faulty frames", tag, st, len(tr.Outputs))
 			}
 		}
 	}
 }
 
 // TestEventSimFrameDeltaMatches checks the exported FrameDelta entry
-// point: with the event evaluator on it must reproduce the level-order
-// result and the full re-evaluation exactly, for random frames, faults
-// and divergent present states.
+// point against the full re-evaluation, for random frames, faults and
+// divergent present states.
 func TestEventSimFrameDeltaMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(131))
 	for trial := 0; trial < 30; trial++ {
@@ -143,8 +131,6 @@ func TestEventSimFrameDeltaMatches(t *testing.T) {
 			continue
 		}
 		ev := New(c)
-		lv := New(c)
-		lv.SetEventSim(false)
 		pat := make(Pattern, c.NumInputs())
 		for i := range pat {
 			pat[i] = logic.Val(rng.Intn(3))
@@ -162,18 +148,17 @@ func TestEventSimFrameDeltaMatches(t *testing.T) {
 		f := faults[rng.Intn(len(faults))]
 		want := make([]logic.Val, c.NumNodes())
 		EvalFrame(c, pat, badPS, &f, want)
-		gotEv := ev.FrameDelta(pat, badPS, goodVals, &f)
-		gotLv := lv.FrameDelta(pat, badPS, goodVals, &f)
+		got := ev.FrameDelta(pat, badPS, goodVals, &f)
 		for n := range want {
-			if gotEv[n] != want[n] || gotLv[n] != want[n] {
-				t.Fatalf("trial %d fault %s: node %s event=%v level=%v full=%v",
-					trial, f.Name(c), c.NodeName(netlist.NodeID(n)), gotEv[n], gotLv[n], want[n])
+			if got[n] != want[n] {
+				t.Fatalf("trial %d fault %s: node %s event=%v full=%v",
+					trial, f.Name(c), c.NodeName(netlist.NodeID(n)), got[n], want[n])
 			}
 		}
 		// Fault-free frames must pass through unchanged too.
-		gotEv = ev.FrameDelta(pat, goodPS, goodVals, nil)
+		got = ev.FrameDelta(pat, goodPS, goodVals, nil)
 		for n := range goodVals {
-			if gotEv[n] != goodVals[n] {
+			if got[n] != goodVals[n] {
 				t.Fatalf("trial %d: fault-free event delta diverged at node %d", trial, n)
 			}
 		}
@@ -200,8 +185,7 @@ o2 = XNOR(q1, q2)
 
 // FuzzEventSimFrameDelta decodes the fuzz input as a frame (pattern
 // bits, present-state values, fault pick) and asserts the event-driven
-// FrameDelta agrees with the level-order twin and with a full
-// re-evaluation.
+// FrameDelta agrees with a full re-evaluation.
 func FuzzEventSimFrameDelta(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{1, 2, 3, 4})
@@ -212,8 +196,6 @@ func FuzzEventSimFrameDelta(f *testing.F) {
 		}
 		c := mustParse(t, "eventfuzz", eventFuzzBench)
 		ev := New(c)
-		lv := New(c)
-		lv.SetEventSim(false)
 		at := func(i int) byte {
 			if i < len(data) {
 				return data[i]
@@ -236,12 +218,11 @@ func FuzzEventSimFrameDelta(f *testing.F) {
 		fl := faults[int(at(len(pat)+2*len(goodPS)))%len(faults)]
 		want := make([]logic.Val, c.NumNodes())
 		EvalFrame(c, pat, badPS, &fl, want)
-		gotEv := ev.FrameDelta(pat, badPS, goodVals, &fl)
-		gotLv := lv.FrameDelta(pat, badPS, goodVals, &fl)
+		got := ev.FrameDelta(pat, badPS, goodVals, &fl)
 		for n := range want {
-			if gotEv[n] != want[n] || gotLv[n] != want[n] {
-				t.Fatalf("fault %s: node %s event=%v level=%v full=%v",
-					fl.Name(c), c.NodeName(netlist.NodeID(n)), gotEv[n], gotLv[n], want[n])
+			if got[n] != want[n] {
+				t.Fatalf("fault %s: node %s event=%v full=%v",
+					fl.Name(c), c.NodeName(netlist.NodeID(n)), got[n], want[n])
 			}
 		}
 	})

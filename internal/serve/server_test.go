@@ -187,7 +187,7 @@ func TestServerRunLifecycle(t *testing.T) {
 		"motserve_expansions_total":            float64(rep.Expansions),
 		"motserve_sequences_total":             float64(rep.Sequences),
 		"motserve_imply_calls_total":           float64(rep.Stages.ImplyCalls),
-		"motserve_delta_frames_total":          float64(rep.Stages.Sim.DeltaFrames),
+		"motserve_event_frames_total":          float64(rep.Stages.Sim.EventFrames),
 		"motserve_full_frames_total":           float64(rep.Stages.Sim.FullFrames),
 	} {
 		if got := samples[name]; got != want {

@@ -61,19 +61,13 @@ var liveCounters = []struct {
 		func(s core.LiveSnapshot) int64 { return s.ResimVectorPasses }},
 	{"resim_vector_frames_total", "Time frames evaluated by bit-parallel resimulation.", false,
 		func(s core.LiveSnapshot) int64 { return s.ResimVectorFrames }},
-	{"resim_serial_fallbacks_total", "Expansions that exceeded lane capacity and resimulated serially.", false,
-		func(s core.LiveSnapshot) int64 { return s.ResimSerialFallbacks }},
-	{"delta_frames_total", "Event-driven (delta) frames simulated by the serial engine.", false,
-		func(s core.LiveSnapshot) int64 { return s.DeltaFrames }},
-	{"delta_gate_evals_total", "Gate evaluations inside delta frames.", false,
-		func(s core.LiveSnapshot) int64 { return s.DeltaGateEvals }},
 	{"full_frames_total", "Full-pass frames simulated by the serial engine.", false,
 		func(s core.LiveSnapshot) int64 { return s.FullFrames }},
 	{"event_frames_total", "Sparse frames simulated by the event-driven evaluator.", false,
 		func(s core.LiveSnapshot) int64 { return s.EventFrames }},
 	{"event_gate_evals_total", "Gate evaluations inside event-driven frames.", false,
 		func(s core.LiveSnapshot) int64 { return s.EventGateEvals }},
-	{"events_total", "Node value changes propagated by the sparse evaluators.", false,
+	{"events_total", "Node value changes propagated by the sparse evaluator.", false,
 		func(s core.LiveSnapshot) int64 { return s.Events }},
 	{"stage_step0_seconds_total", "CPU time in step 0 (serial resim + condition C).", true,
 		func(s core.LiveSnapshot) int64 { return s.Step0NS }},
