@@ -3,7 +3,6 @@ package metrics
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -14,33 +13,27 @@ import (
 // question cumulative histograms cannot: "did the last minute get
 // slow?".
 //
-// Observation is lock-free — bucket selection, a handful of atomic
-// adds, and min/max CAS loops, exactly like Histogram — so Windows are
-// safe under concurrent writers and scrapers. Bucket rotation (zeroing
-// a slot whose interval has passed) serializes on a mutex taken only
-// once per interval per slot. A writer descheduled across a rotation
-// can land one observation in the adjacent interval or lose it to the
-// reset; the error is bounded by one observation per rotation, the same
-// torn-read tolerance the scrape-safe histograms accept.
+// One mutex guards the ring. Windows are observed once per request or
+// run, so the lock costs nothing measurable, and it makes every Stats
+// snapshot exact: the count equals the bucket total, and sum, min and
+// max describe the same observations, even while writers rotate slots.
 type Window struct {
 	interval int64 // bucket width in nanoseconds
 	bounds   []int64
-	slots    []windowSlot
 	// now is the monotonic-enough clock, injectable for tests.
-	now func() int64
-	mu  sync.Mutex // serializes slot rotation only
+	now   func() int64
+	mu    sync.Mutex
+	slots []windowSlot
 }
 
 // windowSlot is one ring bucket. epoch is the absolute interval number
 // (now / interval) the slot currently accumulates; a slot whose epoch
-// trails the current interval is stale and rotates before reuse.
+// trails the current interval is stale and is reset before reuse.
 type windowSlot struct {
-	epoch  atomic.Int64
-	count  atomic.Int64
-	sum    atomic.Int64
-	min    atomic.Int64
-	max    atomic.Int64
-	counts []atomic.Int64
+	epoch    int64
+	sum      int64
+	min, max int64
+	counts   []int64
 }
 
 // NewWindow builds a rolling window of span covered by fixed buckets of
@@ -64,58 +57,47 @@ func NewWindow(interval, span time.Duration, bounds ...int64) *Window {
 		now:      func() int64 { return time.Now().UnixNano() },
 	}
 	for i := range w.slots {
-		w.slots[i].epoch.Store(-1)
-		w.slots[i].min.Store(maxInt64Bound)
-		w.slots[i].max.Store(-maxInt64Bound - 1)
-		w.slots[i].counts = make([]atomic.Int64, len(bounds)+1)
+		w.slots[i] = windowSlot{epoch: -1, counts: make([]int64, len(bounds)+1)}
+		w.slots[i].reset(-1)
 	}
 	return w
 }
 
 // Observe records one value into the current interval's bucket.
 func (w *Window) Observe(v int64) {
-	e := w.now() / w.interval
-	s := &w.slots[int(e%int64(len(w.slots)))]
-	if s.epoch.Load() != e {
-		w.rotate(s, e)
-	}
 	i := 0
 	for i < len(w.bounds) && v > w.bounds[i] {
 		i++
 	}
-	s.counts[i].Add(1)
-	s.count.Add(1)
-	s.sum.Add(v)
-	for {
-		cur := s.min.Load()
-		if v >= cur || s.min.CompareAndSwap(cur, v) {
-			break
-		}
-	}
-	for {
-		cur := s.max.Load()
-		if v <= cur || s.max.CompareAndSwap(cur, v) {
-			break
-		}
-	}
-}
-
-// rotate resets a stale slot for interval e. Double-checked under the
-// mutex so concurrent writers reset each slot once per interval.
-func (w *Window) rotate(s *windowSlot, e int64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if s.epoch.Load() == e {
-		return
+	e := w.now() / w.interval
+	s := &w.slots[int(e%int64(len(w.slots)))]
+	if s.epoch < e {
+		// Stale slot: start interval e. (A clock that stepped back
+		// leaves a newer slot in place and adds to it.)
+		s.reset(e)
 	}
-	for i := range s.counts {
-		s.counts[i].Store(0)
+	s.counts[i]++
+	s.sum += v
+	s.min = min(s.min, v)
+	s.max = max(s.max, v)
+}
+
+// reset empties the slot for interval e.
+func (s *windowSlot) reset(e int64) {
+	s.epoch, s.sum = e, 0
+	s.min, s.max = maxInt64Bound, -maxInt64Bound-1
+	clear(s.counts)
+}
+
+// total is the slot's observation count: the sum of its bucket counts.
+func (s *windowSlot) total() int64 {
+	var n int64
+	for _, c := range s.counts {
+		n += c
 	}
-	s.count.Store(0)
-	s.sum.Store(0)
-	s.min.Store(maxInt64Bound)
-	s.max.Store(-maxInt64Bound - 1)
-	s.epoch.Store(e)
+	return n
 }
 
 // Stats merges every bucket covering the last span into one Snapshot
@@ -131,31 +113,30 @@ func (w *Window) Stats(span time.Duration) Snapshot {
 	if need > int64(len(w.slots)) {
 		need = int64(len(w.slots))
 	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	cur := w.now() / w.interval
 	snap := Snapshot{}
 	counts := make([]int64, len(w.bounds)+1)
-	first := true
 	for i := range w.slots {
 		s := &w.slots[i]
-		e := s.epoch.Load()
-		if e < 0 || e > cur || e <= cur-need {
+		if s.epoch < 0 || s.epoch > cur || s.epoch <= cur-need {
 			continue
 		}
-		c := s.count.Load()
+		c := s.total()
 		if c == 0 {
 			continue
 		}
+		if snap.Count == 0 || s.min < snap.Min {
+			snap.Min = s.min
+		}
+		if snap.Count == 0 || s.max > snap.Max {
+			snap.Max = s.max
+		}
 		snap.Count += c
-		snap.Sum += s.sum.Load()
-		if mn := s.min.Load(); first || mn < snap.Min {
-			snap.Min = mn
-		}
-		if mx := s.max.Load(); first || mx > snap.Max {
-			snap.Max = mx
-		}
-		first = false
+		snap.Sum += s.sum
 		for j := range counts {
-			counts[j] += s.counts[j].Load()
+			counts[j] += s.counts[j]
 		}
 	}
 	if snap.Count > 0 {

@@ -134,54 +134,77 @@ func TestRegisterWindowSeries(t *testing.T) {
 
 // TestWindowParallelObserveScrapeCrossCheck hammers a window from
 // concurrent writers while scraping its stats, asserting every merged
-// snapshot is internally consistent (bucket total == count, sum within
-// observed value range bounds). Runs under -race via the Makefile
-// pattern (Window).
+// snapshot is internally consistent (bucket total == count, sum, min,
+// max and mean within the observed value range). It runs twice: on the
+// real clock, where nothing expires and the final count must equal the
+// observation count, and on the injectable clock advanced by its own
+// goroutine, so slots rotate under the writers and the scraper many
+// times over. Runs under -race via the Makefile pattern (Window).
 func TestWindowParallelObserveScrapeCrossCheck(t *testing.T) {
-	w := NewWindow(50*time.Millisecond, 5*time.Second, ExpBounds(1, 2, 10)...)
 	const writers, perWriter = 4, 20000
-	var wg sync.WaitGroup
-	for i := 0; i < writers; i++ {
-		wg.Add(1)
+	const lo, hi = 1, 500 // observed values are j%500 + 1
+	hammer := func(w *Window, tick func()) {
+		var wg sync.WaitGroup
+		for i := 0; i < writers; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for j := 0; j < perWriter; j++ {
+					w.Observe(int64(j%hi + lo))
+				}
+			}()
+		}
+		stop := make(chan struct{})
+		var rg sync.WaitGroup
+		rg.Add(1)
 		go func() {
-			defer wg.Done()
-			for j := 0; j < perWriter; j++ {
-				w.Observe(int64(j%500 + 1))
+			defer rg.Done()
+			for {
+				tick()
+				s := w.Stats(5 * time.Second)
+				var sum int64
+				for _, b := range s.Buckets {
+					sum += b.Count
+				}
+				// Allow the same one-observation-per-writer skew the
+				// torn-scrape histogram tests allow.
+				if diff := sum - s.Count; diff > writers || diff < -writers {
+					t.Errorf("window snapshot torn: bucket total %d vs count %d", sum, s.Count)
+					return
+				}
+				if s.Count > 0 && (s.Min < lo || s.Max > hi || s.Min > s.Max ||
+					s.Sum < lo*s.Count || s.Sum > hi*s.Count ||
+					s.Mean < float64(s.Min) || s.Mean > float64(s.Max)) {
+					t.Errorf("window snapshot torn: count %d sum %d min %d max %d mean %v",
+						s.Count, s.Sum, s.Min, s.Max, s.Mean)
+					return
+				}
+				select {
+				case <-stop:
+					return
+				default:
+				}
 			}
 		}()
+		wg.Wait()
+		close(stop)
+		rg.Wait()
 	}
-	stop := make(chan struct{})
-	var rg sync.WaitGroup
-	rg.Add(1)
-	go func() {
-		defer rg.Done()
-		for {
-			s := w.Stats(5 * time.Second)
-			var sum int64
-			for _, b := range s.Buckets {
-				sum += b.Count
-			}
-			// Bucket counts and the slot count field are separate
-			// atomics, so allow the same one-observation-per-writer skew
-			// the torn-scrape histogram tests allow.
-			if diff := sum - s.Count; diff > writers || diff < -writers {
-				t.Errorf("window snapshot torn: bucket total %d vs count %d", sum, s.Count)
-				return
-			}
-			select {
-			case <-stop:
-				return
-			default:
-			}
-		}
-	}()
-	wg.Wait()
-	close(stop)
-	rg.Wait()
+
+	w := NewWindow(50*time.Millisecond, 5*time.Second, ExpBounds(1, 2, 10)...)
+	hammer(w, func() {})
 	// The writers finished well inside the 5s horizon, so nothing has
 	// expired: the final merged count must equal the observation count.
 	s := w.Stats(5 * time.Second)
 	if s.Count != writers*perWriter {
 		t.Fatalf("final window count = %d, want %d", s.Count, writers*perWriter)
+	}
+
+	// Each scrape advances the fake clock a fifth of an interval, so the
+	// 3-slot ring wraps every few scrapes.
+	fw, clock := fakeWindow(t, 10*time.Millisecond, 20*time.Millisecond, ExpBounds(1, 2, 10)...)
+	hammer(fw, func() { clock.Add(int64(2 * time.Millisecond)) })
+	if s := fw.Stats(20 * time.Millisecond); s.Count > writers*perWriter {
+		t.Fatalf("final rotated window count = %d exceeds the %d observations", s.Count, writers*perWriter)
 	}
 }

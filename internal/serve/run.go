@@ -323,20 +323,18 @@ func (r *Run) Status() RunStatus {
 	return st
 }
 
-// setResources records the run's measured resource usage.
-func (r *Run) setResources(cpu time.Duration, allocBytes int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.resources = &RunResources{CPUSeconds: cpu.Seconds(), AllocBytes: allocBytes}
-}
-
 // progressEvery is the cadence of the progress events on a run's event
 // stream while it executes.
 const progressEvery = 200 * time.Millisecond
 
 // execute runs the simulation to completion, feeding the event stream.
 // It is called on its own goroutine with the slot already acquired.
-func (r *Run) execute(ctx context.Context) {
+// The run's resource usage is passed to account and recorded on the run
+// before the terminal status is published, so a poller that sees the
+// run finished also sees its resources, and /metrics already counts
+// them.
+func (r *Run) execute(ctx context.Context, account func(cpu time.Duration, allocBytes int64)) {
+	before := sampleResources()
 	r.mu.Lock()
 	r.status = StatusRunning
 	r.started = time.Now()
@@ -378,9 +376,12 @@ func (r *Run) execute(ctx context.Context) {
 	}
 	close(stop)
 	tickWG.Wait()
+	cpu, alloc := sampleResources().delta(before)
+	account(cpu, alloc)
 
 	r.mu.Lock()
 	r.finished = time.Now()
+	r.resources = &RunResources{CPUSeconds: cpu.Seconds(), AllocBytes: alloc}
 	switch {
 	case err == nil:
 		r.status = StatusDone

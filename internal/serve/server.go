@@ -165,7 +165,7 @@ func NewServer(cfg Config) *Server {
 	metrics.RegisterWindow(s.reg, cfg.Prefix+"_run_seconds", "Run wall time", 1e-9, s.runWin)
 	s.reg.CounterFloatFunc(cfg.Prefix+"_run_cpu_seconds_total",
 		"CPU time (user+system) attributed to run execution; overlapping runs each absorb the process total.",
-		func() float64 { return float64(s.runCPUNS.Load()) * 1e-9 })
+		func() float64 { return time.Duration(s.runCPUNS.Load()).Seconds() })
 	s.reg.CounterFunc(cfg.Prefix+"_run_alloc_bytes_total",
 		"Heap bytes allocated during run execution; overlapping runs each absorb the process total.",
 		func() int64 { return s.runAllocBytes.Load() })
@@ -393,12 +393,10 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 			s.log.Info("run canceled while queued", "run", id)
 			return
 		}
-		before := sampleResources()
-		run.execute(ctx)
-		cpu, alloc := sampleResources().delta(before)
-		run.setResources(cpu, alloc)
-		s.runCPUNS.Add(int64(cpu))
-		s.runAllocBytes.Add(alloc)
+		run.execute(ctx, func(cpu time.Duration, alloc int64) {
+			s.runCPUNS.Add(int64(cpu))
+			s.runAllocBytes.Add(alloc)
+		})
 		st := run.Status()
 		attrs := []any{"run", id, "status", st.Status}
 		if st.StartedAt != nil && st.FinishedAt != nil {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -11,11 +12,15 @@ import (
 )
 
 // statusWriter captures the response status for the access log and
-// request span while passing streaming (http.Flusher) through to the
-// SSE handler.
+// request span, and holds the response body until the handler returns,
+// so a request is fully accounted (route window, span, access log)
+// before its client can read the complete response. A Flush — the SSE
+// stream — releases the held bytes and switches to pass-through.
 type statusWriter struct {
 	http.ResponseWriter
-	code int
+	code      int
+	body      bytes.Buffer
+	streaming bool
 }
 
 func (w *statusWriter) WriteHeader(code int) {
@@ -23,11 +28,28 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
-// Flush forwards to the underlying writer so wrapping the response
-// does not break the SSE event stream.
+func (w *statusWriter) Write(p []byte) (int, error) {
+	if w.streaming {
+		return w.ResponseWriter.Write(p)
+	}
+	return w.body.Write(p)
+}
+
+// Flush releases the held body and forwards the flush, so wrapping the
+// response does not break the SSE event stream.
 func (w *statusWriter) Flush() {
+	w.release()
+	w.streaming = true
 	if fl, ok := w.ResponseWriter.(http.Flusher); ok {
 		fl.Flush()
+	}
+}
+
+// release writes the held body through.
+func (w *statusWriter) release() {
+	if w.body.Len() > 0 {
+		_, _ = w.ResponseWriter.Write(w.body.Bytes())
+		w.body.Reset()
 	}
 }
 
@@ -82,6 +104,7 @@ func (s *Server) withTelemetry(next http.Handler) http.Handler {
 			Attrs: attrs,
 		})
 		s.log.Info("request", logAttrs...)
+		sw.release()
 	})
 }
 
