@@ -5,16 +5,16 @@
 GO ?= go
 
 # Test names covering code that runs concurrently or reuses pooled state:
-# RunParallel scheduling, the bit-parallel prescreen, the trail/pool
-# cross-checks (pools must be per-worker, never shared), the bit-parallel
-# resimulation cross-checks (per-worker regions and lane scratch), the
-# event-driven evaluator cross-checks (per-worker EventEval scratch and
-# shared schedules), the shared compiled-IR reads in internal/cir,
+# RunParallel scheduling and the golden per-fault digests (Run vs
+# RunParallel), warm start, the bit-parallel prescreen, the cross-checks
+# against the test-side reference pipeline (pools, resimulation regions
+# and lane scratch, and EventEval scratch must be per-worker, never
+# shared), the shared compiled-IR reads in internal/cir,
 # metric registry scrapes under concurrent writers, the serve run
 # registry, the cross-run LRU cache under concurrent submitters, the
 # xtrace span buffers (per-worker writers merging into one tracer while
 # exports/scrapes read it), the rolling-window SLO aggregators
-# (lock-free Observe racing slot rotation and scrapes), and histogram
+# (Observe racing slot rotation and scrapes), and histogram
 # exemplar slots (CAS writers racing exposition reads).
 RACE_PATTERN := Parallel|Prescreen|Pooled|CrossCheck|Server|Span|Event|Window|Exemplar
 RACE_PKGS    := ./internal/core ./internal/bitsim ./internal/cir ./internal/seqsim ./internal/metrics ./internal/serve ./internal/cache ./internal/xtrace
@@ -51,8 +51,7 @@ bench-lite:
 trace:
 	$(GO) run ./cmd/motfsim -circuit sg298 -random 144 -workers 4 -span-trace sg298.trace.json -span-sample 1
 
-# Pair-collection and implication micro-benchmarks: pooled/trail path
-# against the retained allocate-per-pair reference.
+# Pair-collection, per-fault pipeline and implication micro-benchmarks.
 bench-collect:
 	$(GO) test -run xxx -bench 'CollectPairs|SimulateList' -benchmem ./internal/core
 	$(GO) test -run xxx -bench 'Imply' -benchmem ./internal/implic
