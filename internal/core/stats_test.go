@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -234,6 +235,35 @@ func TestTraceWorkersCrossCheck(t *testing.T) {
 	}
 	if timings != 0 {
 		t.Errorf("%d events carry timings without TraceTimings", timings)
+	}
+}
+
+// TestTraceReferencePooledCrossCheck checks every outcome field of the
+// engine's JSONL trace (a 4-worker run) against the event built from the
+// reference pipeline's outcome for the same fault; the resim and sim
+// work summaries are engine-specific and not compared.
+func TestTraceReferencePooledCrossCheck(t *testing.T) {
+	c, T, faults := statsSetup(t)
+	tr, _ := traceRun(t, c, T, faults, DefaultConfig(), 4)
+	ref, err := NewSimulator(c, T, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := seqsim.NewFullPass(c)
+	lines := strings.Split(strings.TrimRight(tr, "\n"), "\n")
+	if len(lines) != len(faults) {
+		t.Fatalf("trace has %d lines, want %d", len(lines), len(faults))
+	}
+	for i, line := range lines {
+		var got TraceEvent
+		if err := json.Unmarshal([]byte(line), &got); err != nil {
+			t.Fatalf("line %d not valid JSON: %v", i, err)
+		}
+		got.Resim, got.Sim = nil, nil
+		o := refSimulateFault(t, ref, full, faults[i])
+		if want := ref.traceEvent(&o, nil, nil, nil); !reflect.DeepEqual(got, want) {
+			t.Fatalf("fault %s: trace %+v, reference %+v", faults[i].Name(c), got, want)
+		}
 	}
 }
 
