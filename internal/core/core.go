@@ -476,18 +476,13 @@ func trivialPair(u, i int) pairInfo {
 	}
 }
 
-// collectOne performs backward implication of y_i at time u for both
+// collectOneInto performs backward implication of y_i at time u for both
 // values, recording the first applicable result: conflict, detection, or
-// the extra specified state variables (Section 3.1).
-func (s *Simulator) collectOne(f *fault.Fault, bad *seqsim.Trace, u, i int) pairInfo {
-	fr := s.pairFrame(f, bad.Nodes[u-1])
-	return s.collectOneInto(fr, f, bad, u, i)
-}
-
-// collectOneInto is collectOne on a caller-provided frame already reset to
-// bad.Nodes[u-1]: each side assigns y_i = alpha, implies, inspects, and
-// restores the frame with an O(changed) trail undo, so the same frame
-// serves every pair at time u without re-copying the base assignment.
+// the extra specified state variables (Section 3.1). fr must already be
+// reset to bad.Nodes[u-1]: each side assigns y_i = alpha, implies,
+// inspects, and restores the frame with an O(changed) trail undo, so the
+// same frame serves every pair at time u without re-copying the base
+// assignment.
 func (s *Simulator) collectOneInto(fr *implic.Frame, f *fault.Fault, bad *seqsim.Trace, u, i int) pairInfo {
 	p := pairInfo{u: u, i: i}
 	s.svReset()

@@ -253,13 +253,9 @@ func (s *Simulator) cloneSeq(src *sequence) *sequence {
 }
 
 // releaseSeqs returns expansion sequences to the pool once resimulation is
-// done with them. Only flat-backed (pooled) sequences are recycled.
+// done with them.
 func (s *Simulator) releaseSeqs(seqs []*sequence) {
-	for _, sq := range seqs {
-		if sq.flat != nil {
-			s.pools.seqFree = append(s.pools.seqFree, sq)
-		}
-	}
+	s.pools.seqFree = append(s.pools.seqFree, seqs...)
 }
 
 // marksScratch returns a zeroed []bool of length L+1 for expand's marked

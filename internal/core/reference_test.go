@@ -165,6 +165,7 @@ func (s *Simulator) deepBackwardRef(f *fault.Fault, bad *seqsim.Trace, fr *impli
 func (s *Simulator) resimulateRef(f *fault.Fault, seqs []*sequence, baseMarks []bool) bool {
 	c := s.c
 	L := len(s.T)
+	ev := s.cc.NewEvaluator()
 	vals := make([]logic.Val, c.NumNodes())
 	marks := make([]bool, L+1)
 	for _, sq := range seqs {
@@ -174,7 +175,7 @@ func (s *Simulator) resimulateRef(f *fault.Fault, seqs []*sequence, baseMarks []
 			if !marks[u] {
 				continue
 			}
-			s.sim.EvalFrame(s.T[u], sq.states[u], f, vals)
+			ev.EvalFrame(s.T[u], sq.states[u], f, vals)
 			g := s.good.Outputs[u]
 			for j, id := range c.Outputs {
 				v := vals[id]

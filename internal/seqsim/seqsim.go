@@ -272,17 +272,10 @@ func (s *Simulator) ConeSize() int { return s.cone.Size() }
 // discarded, since no reader can observe it.
 //
 // The free function compiles (or re-uses the cached compile of) c and
-// allocates a small evaluator per call; hot paths should hold a Simulator
-// and use its EvalFrame method instead.
+// allocates a small evaluator per call; hot paths should hold a
+// cir.Evaluator instead.
 func EvalFrame(c *netlist.Circuit, pi Pattern, ps []logic.Val, f *fault.Fault, vals []logic.Val) {
 	cir.For(c).NewEvaluator().EvalFrame(pi, ps, f, vals)
-}
-
-// EvalFrame is the free EvalFrame on the simulator's compiled circuit,
-// reusing its gather scratch and performing no allocation. It does not
-// touch the work counters.
-func (s *Simulator) EvalFrame(pi Pattern, ps []logic.Val, f *fault.Fault, vals []logic.Val) {
-	s.ev.EvalFrame(pi, ps, f, vals)
 }
 
 // initialStateInto writes the effective all-X initial state under fault f.
