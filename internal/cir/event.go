@@ -120,9 +120,9 @@ type EventEval struct {
 	// buf[sched.Off[k]:sched.Off[k+1]] with fill[k] gates pending.
 	// Outside Drain every fill entry is zero (Drain recycles each bucket
 	// as it passes — pushes only ever target strictly higher levels).
-	sched  *Sched
-	buf    []netlist.GateID
-	fill   []int32
+	sched *Sched
+	buf   []netlist.GateID
+	fill  []int32
 	// occ marks the non-empty buckets (bit k of occ[k>>6] is set iff
 	// fill[k] > 0), so Drain scans occupied buckets only instead of
 	// every schedule level — most frames carry a handful of events

@@ -57,7 +57,7 @@ func NewWindow(interval, span time.Duration, bounds ...int64) *Window {
 		now:      func() int64 { return time.Now().UnixNano() },
 	}
 	for i := range w.slots {
-		w.slots[i] = windowSlot{epoch: -1, counts: make([]int64, len(bounds)+1)}
+		w.slots[i].counts = make([]int64, len(bounds)+1)
 		w.slots[i].reset(-1)
 	}
 	return w
