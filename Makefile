@@ -14,9 +14,10 @@ GO ?= go
 # registry, the cross-run LRU cache under concurrent submitters, the
 # xtrace span buffers (per-worker writers merging into one tracer while
 # exports/scrapes read it), the rolling-window SLO aggregators
-# (Observe racing slot rotation and scrapes), and histogram
-# exemplar slots (CAS writers racing exposition reads).
-RACE_PATTERN := Parallel|Prescreen|Pooled|CrossCheck|Server|Span|Event|Window|Exemplar
+# (Observe racing slot rotation and scrapes), histogram
+# exemplar slots (CAS writers racing exposition reads), the live-stats
+# publishers, and the claim loop cancelled mid-run.
+RACE_PATTERN := Parallel|Prescreen|Pooled|CrossCheck|Server|Span|Event|Window|Exemplar|Live|Cancel
 RACE_PKGS    := ./internal/core ./internal/bitsim ./internal/cir ./internal/seqsim ./internal/metrics ./internal/serve ./internal/cache ./internal/xtrace
 
 .PHONY: build test vet race verify bench bench-lite bench-collect benchdiff trace

@@ -160,7 +160,7 @@ func run(o runOptions) error {
 	defer prof.Stop()
 	var tracer *xtrace.Tracer
 	if o.prof.SpanTrace != "" {
-		if o.spanSample < 0 || o.spanSample > 1 {
+		if !(o.spanSample >= 0 && o.spanSample <= 1) { // rejects NaN too
 			return usageError{fmt.Sprintf("-span-sample must be in [0, 1], got %g", o.spanSample)}
 		}
 		tracer = xtrace.New(xtrace.Options{})

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -117,11 +118,13 @@ func TestRunSpanTrace(t *testing.T) {
 		t.Fatalf("suspiciously small suite trace: %d events", len(doc.TraceEvents))
 	}
 
-	o = baseOpts("2")
-	o.prof.SpanTrace = filepath.Join(t.TempDir(), "never.json")
-	o.spanSample = 2
-	if err := run(o); err == nil || !errors.As(err, &usageError{}) {
-		t.Errorf("out-of-range -span-sample: err = %v, want usage error", err)
+	for _, rate := range []float64{2, math.NaN()} {
+		o = baseOpts("2")
+		o.prof.SpanTrace = filepath.Join(t.TempDir(), "never.json")
+		o.spanSample = rate
+		if err := run(o); err == nil || !errors.As(err, &usageError{}) {
+			t.Errorf("out-of-range -span-sample %v: err = %v, want usage error", rate, err)
+		}
 	}
 }
 

@@ -117,7 +117,8 @@ type Config struct {
 	// Tracer, when non-nil, receives hierarchical spans from Run and
 	// RunParallel: a run span over the whole fault list, stage spans for
 	// the prescreen (with one span per bit-parallel batch) and the
-	// per-fault MOT stage, one span per parallel worker, and — for the
+	// per-fault MOT stage, one span per claim-loop worker (a serial run
+	// has one), and — for the
 	// faults selected by TraceSampleRate — a span per fault with
 	// expand/resim sub-spans. Span IDs derive from deterministic keys
 	// (fault index, batch index, stage name), so the span set, parent
@@ -133,13 +134,16 @@ type Config struct {
 	// fault. Ignored when Tracer is nil.
 	TraceSampleRate float64
 	// Live, when non-nil, receives coarse-cadence snapshots of the run
-	// while it executes: every worker folds its pending per-fault deltas
-	// into the shared LiveStats every LiveEvery faults, so an HTTP
-	// scraper (cmd/motserve, the batch CLIs' -metrics-addr) can watch an
+	// while it executes: every claim-loop worker adds each fault
+	// record's delta to a pending LiveSnapshot and folds it into the
+	// shared LiveStats every LiveEvery faults, so an HTTP scraper
+	// (cmd/motserve, the batch CLIs' -metrics-addr) can watch an
 	// in-flight run without adding atomics to the per-fault hot path.
-	// The stage-time and frame-counter fields additionally require
-	// Metrics; the detection counters work either way. Multiple runs may
-	// share one LiveStats, aggregating their counters.
+	// Prescreen-dropped faults are published by the same loop. The
+	// implication, vector-pass, stage-time and frame-counter fields
+	// additionally require Metrics; the detection counters work either
+	// way. Multiple runs may share one LiveStats, aggregating their
+	// counters.
 	Live *LiveStats
 	// LiveEvery is the publication cadence in faults (per worker); zero
 	// selects the default (32). Smaller values make /metrics fresher at
@@ -188,7 +192,7 @@ func (cfg Config) Validate() error {
 		return fmt.Errorf("core: TraceTimings requires Metrics")
 	case cfg.LiveEvery < 0:
 		return fmt.Errorf("core: LiveEvery must be non-negative, got %d", cfg.LiveEvery)
-	case cfg.TraceSampleRate < 0 || cfg.TraceSampleRate > 1:
+	case !(cfg.TraceSampleRate >= 0 && cfg.TraceSampleRate <= 1): // rejects NaN too
 		return fmt.Errorf("core: TraceSampleRate must be in [0, 1], got %v", cfg.TraceSampleRate)
 	}
 	return nil

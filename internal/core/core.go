@@ -49,7 +49,7 @@ type Simulator struct {
 	c *netlist.Circuit
 	// cc is the compiled circuit IR every engine in the pipeline runs on.
 	// It is compiled once per circuit (NewSimulator times the compile)
-	// and shared read-only by all RunParallel workers.
+	// and shared read-only by all run workers.
 	cc      *cir.CC
 	compile time.Duration
 	cfg     Config
@@ -57,29 +57,21 @@ type Simulator struct {
 	good    *seqsim.Trace
 	sim     *seqsim.Simulator
 	// pools holds this simulator's reusable frames, arenas and scratch
-	// buffers (see pool.go). RunParallel workers each get a fresh
-	// Simulator value, so pools are never shared between goroutines.
+	// buffers (see pool.go). Each run worker is its own Simulator value,
+	// so pools are never shared between goroutines.
 	pools simPools
-	// stats accumulates this simulator's stage times and pool counters
-	// (see stats.go); nil when Config.Metrics is off. Owned by this
+	// stats sums this simulator's fault records and pool counters (see
+	// stats.go); nil when Config.Metrics is off. Owned by this
 	// simulator's goroutine — plain fields, no atomics.
 	stats *runStats
 	// hist is the run's shared per-fault histogram set (concurrency-safe;
-	// RunParallel workers all point at the parent's). Nil when metrics
+	// every run worker points at worker 0's). Nil when metrics
 	// are off.
 	hist *RunMetrics
-	// lastStages is the stage-time breakdown of the most recent
-	// SimulateFault call, consumed by the trace emitter.
-	lastStages StageNS
-	// lastResim summarizes the resimulation passes of the most recent
-	// SimulateFault call (vector passes, frames, lanes packed), consumed
-	// by the trace emitter. Deterministic, unlike lastStages.
-	lastResim ResimTrace
-	// lastEvents summarizes the step-0 frame-evaluation work of the most
-	// recent SimulateFault call (frames, events, gate evaluations),
-	// consumed by the trace emitter and span attributes. The summary is
-	// byte-identical across worker counts.
-	lastEvents SimTrace
+	// rec is the record of the fault most recently run through the
+	// pipeline (see faultRecord); the pipeline stages fill it and every
+	// per-fault sink reads it.
+	rec faultRecord
 	// tbuf/span carry the open span of the fault currently in
 	// SimulateFault (see span.go); span is 0 — and the sub-span hooks
 	// cost one comparison — when the fault is unsampled or tracing is
@@ -247,55 +239,76 @@ func conditionC(nsv, nout []int) bool {
 // histograms (see Stages and RunMetrics); outcomes are identical either
 // way.
 func (s *Simulator) SimulateFault(f fault.Fault) (FaultOutcome, error) {
-	st := s.stats
-	if st == nil {
-		return s.simulateFault(f)
-	}
-	st.motFaults++
-	before := *st
-	start := time.Now()
-	out, err := s.simulateFault(f)
-	total := int64(time.Since(start))
-	st.times.Total += total
-	d := st.times.sub(before.times)
-	d.Total = total
-	if samples := st.implySamples - before.implySamples; samples > 0 {
-		d.Imply = (st.implySampleNS - before.implySampleNS) *
-			(st.implyCalls - before.implyCalls) / samples
-	}
-	s.lastStages = d
-	if err == nil && s.hist != nil {
-		cone := int64(s.sim.ConeSize())
-		s.hist.observeFault(&out, total, cone)
-		if s.span != 0 {
-			// The fault is span-sampled: link its bucket in each histogram
-			// back to the fault and the span via OpenMetrics exemplars.
-			s.hist.exemplarFault(&out, total, cone, f.Name(s.c), fmt.Sprintf("%016x", uint64(s.span)))
-		}
-	}
-	return out, err
+	err := s.simulate(f)
+	return s.rec.out, err
 }
 
-// simulateFault is the pipeline body; stage boundaries tick the stats
-// accumulator (a nil accumulator costs only the branch).
+// faultRecord is everything one fault's pass through a whole-list run
+// produced: the outcome plus the fault's share of the instrumentation.
+// The pipeline fills one per fault and every per-fault sink reads it:
+// the JSONL trace, the fault span's attributes, the run histograms with
+// their exemplars, the live publisher and the worker's runStats.
+type faultRecord struct {
+	out FaultOutcome
+	// ran reports that the fault entered the per-fault pipeline; a
+	// prescreen-dropped fault's record holds only its outcome.
+	ran bool
+	// stages and the implication counters (calls, and the timed sample's
+	// nanoseconds and size) are filled only with Config.Metrics.
+	stages        StageNS
+	implyCalls    int64
+	implySampleNS int64
+	implySamples  int64
+	// resim summarizes the resimulation passes, sim the step-0
+	// simulator's work and cone the active-cone size in gates.
+	resim ResimTrace
+	sim   seqsim.SimStats
+	cone  int64
+}
+
+// simulate runs the per-fault pipeline for f, filling s.rec, and with
+// metrics on folds the record into the worker's runStats and the run
+// histograms.
+func (s *Simulator) simulate(f fault.Fault) error {
+	r := &s.rec
+	*r = faultRecord{ran: true}
+	s.sim.ResetStats()
+	var start time.Time
+	if s.stats != nil {
+		start = time.Now()
+	}
+	out, err := s.simulateFault(f)
+	r.out, r.sim, r.cone = out, s.sim.Stats(), int64(s.sim.ConeSize())
+	if st := s.stats; st != nil {
+		r.stages.Total = int64(time.Since(start))
+		if r.implySamples > 0 {
+			r.stages.Imply = r.implySampleNS * r.implyCalls / r.implySamples
+		}
+		st.sum.Add(r.liveDelta(true))
+	}
+	if err == nil {
+		s.observeFault()
+	}
+	return err
+}
+
+// simulateFault is the pipeline body; stage boundaries tick the
+// record's stage times (with metrics off, only a branch).
 func (s *Simulator) simulateFault(f fault.Fault) (FaultOutcome, error) {
 	out := FaultOutcome{Fault: f}
-	s.lastResim = ResimTrace{}
-	st := s.stats
+	stg := &s.rec.stages
 	var last time.Time
-	if st != nil {
+	if s.stats != nil {
 		last = time.Now()
 	}
 
 	// Step 0: conventional fault simulation with fault dropping.
-	simBefore := s.sim.Stats()
 	bad, at, detected, err := s.runBad(f)
-	s.lastEvents = simTraceDelta(simBefore, s.sim.Stats())
 	if err != nil {
 		return out, err
 	}
 	if detected {
-		st.tick(&last, stageStep0)
+		s.tick(&last, &stg.Step0)
 		out.Outcome = DetectedConventional
 		out.At = at
 		return out, nil
@@ -304,11 +317,11 @@ func (s *Simulator) simulateFault(f fault.Fault) (FaultOutcome, error) {
 	// Necessary condition (C).
 	nsv, nout := s.profile(bad)
 	if !conditionC(nsv, nout) {
-		st.tick(&last, stageStep0)
+		s.tick(&last, &stg.Step0)
 		out.FailedConditionC = true
 		return out, nil
 	}
-	st.tick(&last, stageStep0)
+	s.tick(&last, &stg.Step0)
 
 	// Section 3.1: collect backward-implication information per pair.
 	pairs := s.collectPairs(&f, bad, nout)
@@ -320,7 +333,7 @@ func (s *Simulator) simulateFault(f fault.Fault) (FaultOutcome, error) {
 		for k := range pairs {
 			p := &pairs[k]
 			if (p.detect[0] && p.resolved(1)) || (p.detect[1] && p.resolved(0)) {
-				st.tick(&last, stageCollect)
+				s.tick(&last, &stg.Collect)
 				out.Outcome = DetectedMOT
 				out.ByIdentification = true
 				out.Counters.add(p.counters())
@@ -329,7 +342,7 @@ func (s *Simulator) simulateFault(f fault.Fault) (FaultOutcome, error) {
 			}
 		}
 	}
-	st.tick(&last, stageCollect)
+	s.tick(&last, &stg.Collect)
 	if s.cfg.IdentificationOnly {
 		// Low-complexity mode (after [6]): no expansion, no resimulation.
 		return out, nil
@@ -339,7 +352,7 @@ func (s *Simulator) simulateFault(f fault.Fault) (FaultOutcome, error) {
 	ph := s.beginPhase("expand", 0)
 	seqs, marks := s.expand(pairs, bad, nsv, nout, &out)
 	s.endPhase(ph)
-	st.tick(&last, stageExpand)
+	s.tick(&last, &stg.Expand)
 
 	// Section 3.4: resimulation after expansion.
 	out.Sequences = len(seqs)
@@ -347,7 +360,7 @@ func (s *Simulator) simulateFault(f fault.Fault) (FaultOutcome, error) {
 	detected = s.resimulate(&f, bad, seqs, marks)
 	s.endPhase(ph)
 	s.releaseSeqs(seqs)
-	st.tick(&last, stageResim)
+	s.tick(&last, &stg.Resim)
 	if detected {
 		out.Outcome = DetectedMOT
 		return out, nil
@@ -365,13 +378,13 @@ func (s *Simulator) simulateFault(f fault.Fault) (FaultOutcome, error) {
 		ph = s.beginPhase("expand", 1)
 		seqs, marks = s.expand(s.trivialPairs(bad, nout), bad, nsv, nout, &retry)
 		s.endPhase(ph)
-		st.tick(&last, stageExpand)
+		s.tick(&last, &stg.Expand)
 		ph = s.beginPhase("resim", 1)
 		detected = s.resimulate(&f, bad, seqs, marks)
 		s.endPhase(ph)
 		nseq := len(seqs)
 		s.releaseSeqs(seqs)
-		st.tick(&last, stageResim)
+		s.tick(&last, &stg.Resim)
 		if detected {
 			out.Outcome = DetectedMOT
 			out.Expansions += retry.Expansions
@@ -547,8 +560,9 @@ func (s *Simulator) imply(fr *implic.Frame) bool {
 		}
 		return fr.ImplyTwoPass()
 	}
-	st.implyCalls++
-	if st.implyCalls&(1<<implySampleShift-1) != 0 {
+	r := &s.rec
+	r.implyCalls++
+	if (st.sum.ImplyCalls+r.implyCalls)&(1<<implySampleShift-1) != 0 {
 		if s.cfg.Schedule == Fixpoint {
 			return fr.ImplyFixpoint(s.cfg.FixpointRounds)
 		}
@@ -561,8 +575,8 @@ func (s *Simulator) imply(fr *implic.Frame) bool {
 	} else {
 		ok = fr.ImplyTwoPass()
 	}
-	st.implySampleNS += int64(time.Since(start))
-	st.implySamples++
+	r.implySampleNS += int64(time.Since(start))
+	r.implySamples++
 	return ok
 }
 
@@ -891,8 +905,9 @@ type Stages struct {
 	Step0Time   time.Duration
 	CollectTime time.Duration
 	// ImplyTime estimates the implication share of CollectTime from a
-	// timed 1-in-2^implySampleShift sample of implication calls; it is a
-	// subset of CollectTime, not an additional stage.
+	// timed 1-in-2^implySampleShift sample of implication calls, each
+	// timed call standing for 2^implySampleShift calls; it is a subset of
+	// CollectTime, not an additional stage.
 	ImplyTime  time.Duration
 	ExpandTime time.Duration
 	ResimTime  time.Duration
@@ -936,7 +951,7 @@ func (r *Result) AvgCounters() (det, conf, extra float64) {
 // only the surviving faults run the per-fault pipeline; outcomes are
 // identical either way.
 func (s *Simulator) Run(faults []fault.Fault, progress func(done, total int)) (*Result, error) {
-	return s.RunContext(context.Background(), faults, progress)
+	return s.run(context.Background(), faults, 1, progress)
 }
 
 // RunContext is Run with cancellation: the fault loop checks ctx before
@@ -944,72 +959,174 @@ func (s *Simulator) Run(faults []fault.Fault, progress func(done, total int)) (*
 // prescreen stage runs to completion before the first check (its
 // bit-parallel batches are short relative to the per-fault pipeline).
 func (s *Simulator) RunContext(ctx context.Context, faults []fault.Fault, progress func(done, total int)) (*Result, error) {
-	res := &Result{Circuit: s.c.Name, Total: len(faults)}
-	res.Stages.CompileTime = s.compile
-	res.Live = s.cfg.Live
-	res.Outcomes = make([]FaultOutcome, 0, len(faults))
+	return s.run(ctx, faults, 1, progress)
+}
+
+// RunParallel simulates the fault list on `workers` goroutines: the
+// calling goroutine runs on the simulator itself and each further worker
+// on a clone (sharing the immutable circuit, test sequence and
+// fault-free trace). Results are identical to Run and are
+// returned in fault-list order. With Config.Prescreen the bit-parallel
+// conventional stage runs first (its batches spread over the same
+// worker count) and only surviving faults run the per-fault pipeline.
+func (s *Simulator) RunParallel(faults []fault.Fault, workers int, progress func(done, total int)) (*Result, error) {
+	return s.run(context.Background(), faults, workers, progress)
+}
+
+// RunParallelContext is RunParallel with cancellation: workers stop
+// claiming faults once ctx is done and the run returns ctx.Err(). The
+// prescreen stage runs to completion before the first check.
+func (s *Simulator) RunParallelContext(ctx context.Context, faults []fault.Fault, workers int, progress func(done, total int)) (*Result, error) {
+	return s.run(ctx, faults, workers, progress)
+}
+
+// run is the whole-list driver behind Run, RunContext, RunParallel and
+// RunParallelContext: the prescreen, then one claim loop over the whole
+// fault list on min(workers, len(faults)) workers. Worker 0 is s itself;
+// the others are clones of s.
+func (s *Simulator) run(ctx context.Context, faults []fault.Fault, workers int, progress func(done, total int)) (*Result, error) {
+	workers = max(1, min(workers, len(faults)))
+	res := &Result{Circuit: s.c.Name, Total: len(faults), Live: s.cfg.Live, Stages: Stages{CompileTime: s.compile}}
 	s.beginRun(res)
 	s.beginLive(len(faults))
 	defer s.cfg.Live.endLive()
 	sc := s.beginRunSpans(len(faults))
-	pre, err := s.prescreen(faults, 1, res, sc)
+	pre, err := s.prescreen(faults, workers, res, sc)
 	if err != nil {
 		return nil, err
 	}
-	s.publishPrescreen(res, false)
-	live := s.newLivePublisher()
-	traceTimes := s.traceTimes(len(faults))
-	traceResims := s.traceResims(len(faults))
-	traceSims := s.traceSims(len(faults))
+	s.publishPrescreen(res)
+	l := &claimLoop{
+		ctx: ctx, faults: faults, pre: pre, progress: progress, sc: sc,
+		outcomes: make([]FaultOutcome, len(faults)),
+	}
+	if s.cfg.TraceWriter != nil {
+		l.records = make([]faultRecord, len(faults))
+	}
 	motStart := time.Now()
 	sc.beginStage("mot")
-	ws := sc.worker(-1)
-	for k, f := range faults {
-		if err := ctx.Err(); err != nil {
-			live.flush(s)
+	// The calling goroutine is worker 0, so a one-worker run starts no
+	// goroutine.
+	sims := make([]*Simulator, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		sims[w] = s.clone()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[w] = l.work(sims[w], w)
+		}()
+	}
+	sims[0] = s
+	errs[0] = l.work(s, 0)
+	wg.Wait()
+	sc.endStage()
+	for _, err := range errs {
+		if err != nil {
 			return nil, err
 		}
-		var o FaultOutcome
-		entered := false
-		if pre != nil && pre[k].Detected {
-			o = FaultOutcome{Fault: f, Outcome: DetectedConventional, At: pre[k].At}
-		} else {
-			entered = true
-			ws.begin(s, k, f)
-			if o, err = s.SimulateFault(f); err != nil {
-				return nil, fmt.Errorf("core: fault %s: %w", f.Name(s.c), err)
-			}
-			ws.end(s, &o)
-			if traceTimes != nil {
-				traceTimes[k] = s.lastStages
-			}
-			if traceResims != nil {
-				traceResims[k] = s.lastResim
-			}
-			if traceSims != nil {
-				traceSims[k] = s.lastEvents
-			}
-		}
-		live.observe(s, &o, entered)
-		res.tally(o)
-		if progress != nil {
-			progress(k+1, len(faults))
-		}
 	}
-	live.flush(s)
-	ws.close()
-	sc.endStage()
-	s.sim.FlushFrameHists()
+	// Tally in fault-list order, appending each outcome back into the
+	// slot it was read from.
+	res.Outcomes = l.outcomes[:0]
+	for _, o := range l.outcomes {
+		res.tally(o)
+	}
 	res.Stages.MOTTime = time.Since(motStart)
-	res.Stages.mergeStats(s.stats)
-	if s.cfg.Metrics {
-		res.Stages.Sim.Merge(s.sim.Stats())
+	for _, w := range sims {
+		res.Stages.mergeStats(w.stats)
 	}
 	sc.finish(res)
-	if err := s.writeTrace(res, traceTimes, traceResims, traceSims); err != nil {
+	if err := s.writeTrace(l.records); err != nil {
 		return nil, fmt.Errorf("core: trace: %w", err)
 	}
 	return res, nil
+}
+
+// clone returns a worker for s: it shares the immutable circuit, IR,
+// test sequence and fault-free trace, and the run's concurrency-safe
+// histograms, and owns its step-0 simulator, pools and stats.
+func (s *Simulator) clone() *Simulator {
+	w := &Simulator{
+		c: s.c, cc: s.cc, compile: s.compile, cfg: s.cfg, T: s.T, good: s.good,
+		sim:  seqsim.NewCompiled(s.cc),
+		hist: s.hist,
+	}
+	if s.hist != nil {
+		w.sim.SetFrameHists(s.hist.EventsPerFrame, s.hist.GatesVisitedPerFrame)
+	}
+	if s.cfg.Metrics {
+		w.stats = &runStats{}
+	}
+	return w
+}
+
+// claimLoop is the shared state of one run's fault loop. Workers claim
+// fault indices from next until the list is exhausted; each index is
+// written by exactly one worker, so outcomes and records need no lock.
+type claimLoop struct {
+	ctx      context.Context
+	faults   []fault.Fault
+	pre      []seqsim.FaultResult // prescreen lane results; nil when off
+	progress func(done, total int)
+	sc       *spanScope
+	outcomes []FaultOutcome
+	// records keeps every fault's record for the JSONL trace; nil when
+	// Config.TraceWriter is unset.
+	records []faultRecord
+	next    atomic.Int64
+	// mu serializes progress calls, so done rises strictly and the
+	// callback needs no lock of its own.
+	mu   sync.Mutex
+	done int
+}
+
+// work is one worker's claim loop. A prescreen-dropped fault is
+// classified from its lane result; every other fault runs the per-fault
+// pipeline. Either way its record then feeds the sinks.
+func (l *claimLoop) work(s *Simulator, w int) error {
+	n := len(l.faults)
+	// A worker leaves the loop when the list is exhausted or on an error
+	// or cancellation; either way no worker may claim another fault.
+	defer l.next.Store(int64(n))
+	live := s.newLivePublisher()
+	defer live.flush()
+	defer s.sim.FlushFrameHists()
+	ws := l.sc.worker(w)
+	defer ws.close()
+	r := &s.rec
+	for {
+		k := int(l.next.Add(1)) - 1
+		if k >= n {
+			return nil
+		}
+		if err := l.ctx.Err(); err != nil {
+			return err
+		}
+		f := l.faults[k]
+		if l.pre != nil && l.pre[k].Detected {
+			*r = faultRecord{out: FaultOutcome{Fault: f, Outcome: DetectedConventional, At: l.pre[k].At}}
+		} else {
+			ws.begin(s, k, f)
+			err := s.simulate(f)
+			ws.end(s)
+			if err != nil {
+				return fmt.Errorf("core: fault %s: %w", f.Name(s.c), err)
+			}
+		}
+		live.observe(r)
+		l.outcomes[k] = r.out
+		if l.records != nil {
+			l.records[k] = *r
+		}
+		if l.progress != nil {
+			l.mu.Lock()
+			l.done++
+			l.progress(l.done, n)
+			l.mu.Unlock()
+		}
+	}
 }
 
 // tally folds one outcome into the aggregate.
@@ -1032,166 +1149,4 @@ func (r *Result) tally(o FaultOutcome) {
 	r.Pairs += o.Pairs
 	r.Sequences += o.Sequences
 	r.Outcomes = append(r.Outcomes, o)
-}
-
-// RunParallel simulates the fault list on `workers` goroutines. Each
-// worker clones the simulator (sharing the immutable circuit, test
-// sequence and fault-free trace); results are identical to Run and are
-// returned in fault-list order. With Config.Prescreen the bit-parallel
-// conventional stage runs first (its batches spread over the same
-// worker count) and only surviving faults are handed to the pool.
-func (s *Simulator) RunParallel(faults []fault.Fault, workers int, progress func(done, total int)) (*Result, error) {
-	return s.RunParallelContext(context.Background(), faults, workers, progress)
-}
-
-// RunParallelContext is RunParallel with cancellation: workers stop
-// claiming faults once ctx is done and the run returns ctx.Err(). The
-// prescreen stage runs to completion before the first check.
-func (s *Simulator) RunParallelContext(ctx context.Context, faults []fault.Fault, workers int, progress func(done, total int)) (*Result, error) {
-	if workers < 2 || len(faults) < 2 {
-		return s.RunContext(ctx, faults, progress)
-	}
-	res := &Result{Circuit: s.c.Name, Total: len(faults)}
-	res.Stages.CompileTime = s.compile
-	res.Live = s.cfg.Live
-	res.Outcomes = make([]FaultOutcome, 0, len(faults))
-	s.beginRun(res)
-	s.beginLive(len(faults))
-	defer s.cfg.Live.endLive()
-	sc := s.beginRunSpans(len(faults))
-	pre, err := s.prescreen(faults, workers, res, sc)
-	if err != nil {
-		return nil, err
-	}
-	s.publishPrescreen(res, true)
-	traceTimes := s.traceTimes(len(faults))
-	traceResims := s.traceResims(len(faults))
-	traceSims := s.traceSims(len(faults))
-	motStart := time.Now()
-	sc.beginStage("mot")
-	outcomes := make([]FaultOutcome, len(faults))
-	// todo lists the fault indices that survived the prescreen and need
-	// the per-fault pipeline.
-	var todo []int
-	for k := range faults {
-		if pre != nil && pre[k].Detected {
-			outcomes[k] = FaultOutcome{Fault: faults[k], Outcome: DetectedConventional, At: pre[k].At}
-			continue
-		}
-		todo = append(todo, k)
-	}
-	dropped := len(faults) - len(todo)
-	if progress != nil {
-		for d := 1; d <= dropped; d++ {
-			progress(d, len(faults))
-		}
-	}
-	if workers > len(todo) {
-		workers = len(todo)
-	}
-	nw := max(workers, 1)
-	errs := make([]error, nw)
-	// Workers are built up front so their per-worker instrumentation can
-	// be merged into the run totals after the pool drains. Each worker
-	// gets its own runStats (plain fields, single goroutine) and shares
-	// the parent's concurrency-safe histograms.
-	workerSims := make([]*Simulator, nw)
-	for w := range workerSims {
-		worker := &Simulator{
-			c: s.c, cc: s.cc, compile: s.compile, cfg: s.cfg, T: s.T, good: s.good,
-			sim:  seqsim.NewCompiled(s.cc),
-			hist: s.hist,
-		}
-		if s.hist != nil {
-			worker.sim.SetFrameHists(s.hist.EventsPerFrame, s.hist.GatesVisitedPerFrame)
-		}
-		if s.cfg.Metrics {
-			worker.stats = &runStats{}
-		}
-		workerSims[w] = worker
-	}
-	var (
-		nextIdx int64 = -1
-		failed  atomic.Bool
-		mu      sync.Mutex
-		count   = dropped
-		wg      sync.WaitGroup
-	)
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			worker := workerSims[w]
-			live := worker.newLivePublisher()
-			defer live.flush(worker)
-			defer worker.sim.FlushFrameHists()
-			ws := sc.worker(w)
-			defer ws.close()
-			for {
-				t := int(atomic.AddInt64(&nextIdx, 1))
-				if t >= len(todo) || failed.Load() {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					errs[w] = err
-					failed.Store(true)
-					atomic.StoreInt64(&nextIdx, int64(len(todo)))
-					return
-				}
-				k := todo[t]
-				ws.begin(worker, k, faults[k])
-				o, err := worker.SimulateFault(faults[k])
-				ws.end(worker, &o)
-				if err != nil {
-					errs[w] = fmt.Errorf("core: fault %s: %w", faults[k].Name(s.c), err)
-					// Drain the pool promptly: flag the failure and push the
-					// shared index past the end so no worker claims further
-					// faults from the list.
-					failed.Store(true)
-					atomic.StoreInt64(&nextIdx, int64(len(todo)))
-					return
-				}
-				live.observe(worker, &o, true)
-				outcomes[k] = o
-				if traceTimes != nil {
-					// Distinct index per fault: no write races between workers.
-					traceTimes[k] = worker.lastStages
-				}
-				if traceResims != nil {
-					traceResims[k] = worker.lastResim
-				}
-				if traceSims != nil {
-					traceSims[k] = worker.lastEvents
-				}
-				if progress != nil {
-					mu.Lock()
-					count++
-					progress(count, len(faults))
-					mu.Unlock()
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	sc.endStage()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	for _, o := range outcomes {
-		res.tally(o)
-	}
-	res.Stages.MOTTime = time.Since(motStart)
-	for _, worker := range workerSims {
-		res.Stages.mergeStats(worker.stats)
-		if s.cfg.Metrics {
-			res.Stages.Sim.Merge(worker.sim.Stats())
-		}
-	}
-	sc.finish(res)
-	if err := s.writeTrace(res, traceTimes, traceResims, traceSims); err != nil {
-		return nil, fmt.Errorf("core: trace: %w", err)
-	}
-	return res, nil
 }

@@ -345,36 +345,50 @@ func TestProposedCoversBaseline(t *testing.T) {
 	}
 }
 
+// TestRunAggregates also pins the progress contract of the claim loop
+// for one and four workers with the prescreen on: progress fires once
+// per fault, prescreen-dropped faults included, done rises strictly to
+// len(faults), and total never changes.
 func TestRunAggregates(t *testing.T) {
 	c := circuits.Intro()
 	T := seqsim.Sequence{{logic.Zero}, {logic.Zero}, {logic.One}}
-	s, err := NewSimulator(c, T, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
 	faults := fault.CollapsedList(c)
-	calls := 0
-	res, err := s.Run(faults, func(done, total int) {
-		calls++
-		if total != len(faults) {
-			t.Error("wrong total in progress callback")
+	for _, workers := range []int{1, 4} {
+		s, err := NewSimulator(c, T, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != len(faults) {
-		t.Errorf("progress called %d times, want %d", calls, len(faults))
-	}
-	if res.Total != len(faults) || res.Detected() != res.Conv+res.MOT {
-		t.Error("result totals inconsistent")
-	}
-	if res.MOT < 1 {
-		t.Errorf("expected at least one MOT-detected fault, got %d", res.MOT)
-	}
-	det, conf, extra := res.AvgCounters()
-	if det < 0 || conf < 0 || extra <= 0 {
-		t.Errorf("counter averages implausible: %v %v %v", det, conf, extra)
+		calls, last := 0, 0
+		res, err := s.RunParallel(faults, workers, func(done, total int) {
+			calls++
+			if total != len(faults) {
+				t.Errorf("workers=%d: progress total %d, want %d", workers, total, len(faults))
+			}
+			if done <= last {
+				t.Errorf("workers=%d: progress done %d after %d", workers, done, last)
+			}
+			last = done
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if calls != len(faults) || last != len(faults) {
+			t.Errorf("workers=%d: progress called %d times ending at %d, want %d",
+				workers, calls, last, len(faults))
+		}
+		if res.Stages.PrescreenDropped == 0 {
+			t.Errorf("workers=%d: prescreen dropped no fault; the dropped path is untested", workers)
+		}
+		if res.Total != len(faults) || res.Detected() != res.Conv+res.MOT {
+			t.Error("result totals inconsistent")
+		}
+		if res.MOT < 1 {
+			t.Errorf("expected at least one MOT-detected fault, got %d", res.MOT)
+		}
+		det, conf, extra := res.AvgCounters()
+		if det < 0 || conf < 0 || extra <= 0 {
+			t.Errorf("counter averages implausible: %v %v %v", det, conf, extra)
+		}
 	}
 }
 

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sync/atomic"
-
-	"repro/internal/seqsim"
-)
+import "sync/atomic"
 
 // defaultLiveEvery is the publication cadence when Config.LiveEvery is
 // zero: each executing worker folds its pending deltas into the shared
@@ -20,8 +16,8 @@ const defaultLiveEvery = 32
 // Snapshot. Every field is monotonically non-decreasing while runs
 // execute, so scraping it as Prometheus counters is sound. After a run
 // returns, the final values equal the merged Result/Result.Stages
-// counters of all runs published into it (time estimates excepted; see
-// Snapshot.ImplyNS).
+// counters of all runs published into it: both are sums of the same
+// per-fault records.
 //
 // The zero value is ready to use. Multiple runs may share one LiveStats
 // (cmd/mottables publishes the whole suite into one); the counters then
@@ -45,9 +41,8 @@ type LiveStats struct {
 	expansions atomic.Int64
 	sequences  atomic.Int64
 
-	implyCalls    atomic.Int64
-	implySampleNS atomic.Int64
-	implySamples  atomic.Int64
+	implyCalls atomic.Int64
+	implyNS    atomic.Int64
 
 	resimVectorPasses atomic.Int64
 	resimVectorFrames atomic.Int64
@@ -99,8 +94,7 @@ type LiveSnapshot struct {
 
 	ImplyCalls int64 `json:"imply_calls"`
 	// ImplyNS is estimated from the sampled implication timings exactly
-	// like Stages.ImplyTime, but over the global sample pool rather than
-	// per worker, so the two estimates may differ slightly.
+	// like Stages.ImplyTime.
 	ImplyNS int64 `json:"imply_ns"`
 
 	ResimVectorPasses int64 `json:"resim_vector_passes"`
@@ -123,7 +117,7 @@ type LiveSnapshot struct {
 // ahead on one counter relative to another; each field on its own never
 // goes backward between snapshots.
 func (l *LiveStats) Snapshot() LiveSnapshot {
-	s := LiveSnapshot{
+	return LiveSnapshot{
 		RunsStarted:       l.runsStarted.Load(),
 		RunsDone:          l.runsDone.Load(),
 		FaultsTotal:       l.faultsTotal.Load(),
@@ -139,6 +133,7 @@ func (l *LiveStats) Snapshot() LiveSnapshot {
 		Expansions:        l.expansions.Load(),
 		Sequences:         l.sequences.Load(),
 		ImplyCalls:        l.implyCalls.Load(),
+		ImplyNS:           l.implyNS.Load(),
 		ResimVectorPasses: l.resimVectorPasses.Load(),
 		ResimVectorFrames: l.resimVectorFrames.Load(),
 		Step0NS:           l.step0NS.Load(),
@@ -151,10 +146,73 @@ func (l *LiveStats) Snapshot() LiveSnapshot {
 		EventGateEvals:    l.eventGateEvals.Load(),
 		Events:            l.events.Load(),
 	}
-	if samples := l.implySamples.Load(); samples > 0 {
-		s.ImplyNS = l.implySampleNS.Load() * s.ImplyCalls / samples
-	}
-	return s
+}
+
+// add publishes d into the shared counters. Every publication goes
+// through it: run start and end, the prescreen stage, and each worker's
+// pending per-fault deltas.
+func (l *LiveStats) add(d *LiveSnapshot) {
+	l.runsStarted.Add(d.RunsStarted)
+	l.runsDone.Add(d.RunsDone)
+	l.faultsTotal.Add(d.FaultsTotal)
+	l.faultsDone.Add(d.FaultsDone)
+	l.conv.Add(d.Conv)
+	l.mot.Add(d.MOT)
+	l.prunedC.Add(d.PrunedConditionC)
+	l.prescreenPasses.Add(d.PrescreenPasses)
+	l.prescreenDropped.Add(d.PrescreenDropped)
+	l.prescreenFrames.Add(d.PrescreenFrames)
+	l.motFaults.Add(d.MOTFaults)
+	l.pairs.Add(d.Pairs)
+	l.expansions.Add(d.Expansions)
+	l.sequences.Add(d.Sequences)
+	l.implyCalls.Add(d.ImplyCalls)
+	l.implyNS.Add(d.ImplyNS)
+	l.resimVectorPasses.Add(d.ResimVectorPasses)
+	l.resimVectorFrames.Add(d.ResimVectorFrames)
+	l.step0NS.Add(d.Step0NS)
+	l.collectNS.Add(d.CollectNS)
+	l.expandNS.Add(d.ExpandNS)
+	l.resimNS.Add(d.ResimNS)
+	l.totalNS.Add(d.TotalNS)
+	l.fullFrames.Add(d.FullFrames)
+	l.eventFrames.Add(d.EventFrames)
+	l.eventGateEvals.Add(d.EventGateEvals)
+	l.events.Add(d.Events)
+}
+
+// Add adds o into s field by field. Summing the snapshots of several
+// LiveStats this way gives their aggregate (cmd/motserve's /metrics);
+// the run publishers fold each fault's delta into their pending
+// snapshot with it too.
+func (s *LiveSnapshot) Add(o LiveSnapshot) {
+	s.RunsStarted += o.RunsStarted
+	s.RunsDone += o.RunsDone
+	s.FaultsTotal += o.FaultsTotal
+	s.FaultsDone += o.FaultsDone
+	s.Conv += o.Conv
+	s.MOT += o.MOT
+	s.PrunedConditionC += o.PrunedConditionC
+	s.PrescreenPasses += o.PrescreenPasses
+	s.PrescreenDropped += o.PrescreenDropped
+	s.PrescreenFrames += o.PrescreenFrames
+	s.MOTFaults += o.MOTFaults
+	s.Pairs += o.Pairs
+	s.Expansions += o.Expansions
+	s.Sequences += o.Sequences
+	s.ImplyCalls += o.ImplyCalls
+	s.ImplyNS += o.ImplyNS
+	s.ResimVectorPasses += o.ResimVectorPasses
+	s.ResimVectorFrames += o.ResimVectorFrames
+	s.Step0NS += o.Step0NS
+	s.CollectNS += o.CollectNS
+	s.ExpandNS += o.ExpandNS
+	s.ResimNS += o.ResimNS
+	s.TotalNS += o.TotalNS
+	s.FullFrames += o.FullFrames
+	s.EventFrames += o.EventFrames
+	s.EventGateEvals += o.EventGateEvals
+	s.Events += o.Events
 }
 
 // Undetected returns the faults classified so far as undetected.
@@ -167,66 +225,88 @@ func (s *Simulator) beginLive(total int) {
 	if live == nil {
 		return
 	}
-	live.runsStarted.Add(1)
-	live.faultsTotal.Add(int64(total))
+	live.add(&LiveSnapshot{RunsStarted: 1, FaultsTotal: int64(total)})
 	if s.hist != nil {
 		live.metrics.Store(s.hist)
 	}
 }
 
 // publishPrescreen folds the completed prescreen stage into the live
-// stats. In RunParallel the prescreen-dropped faults never reach a
-// worker, so their classification is published here as well; the serial
-// Run loop instead routes dropped faults through its publisher like any
-// other outcome (droppedDone false).
-func (s *Simulator) publishPrescreen(res *Result, droppedDone bool) {
-	live := s.cfg.Live
-	if live == nil {
-		return
-	}
-	live.prescreenPasses.Add(int64(res.Stages.PrescreenPasses))
-	live.prescreenDropped.Add(int64(res.Stages.PrescreenDropped))
-	live.prescreenFrames.Add(res.Stages.PrescreenFrames)
-	if droppedDone {
-		d := int64(res.Stages.PrescreenDropped)
-		live.faultsDone.Add(d)
-		live.conv.Add(d)
+// stats. The dropped faults themselves are published by the claim loop
+// like every other fault.
+func (s *Simulator) publishPrescreen(res *Result) {
+	if live := s.cfg.Live; live != nil {
+		live.add(&LiveSnapshot{
+			PrescreenPasses:  int64(res.Stages.PrescreenPasses),
+			PrescreenDropped: int64(res.Stages.PrescreenDropped),
+			PrescreenFrames:  res.Stages.PrescreenFrames,
+		})
 	}
 }
 
 // endLive marks one run's publications complete.
 func (l *LiveStats) endLive() {
 	if l != nil {
-		l.runsDone.Add(1)
+		l.add(&LiveSnapshot{RunsDone: 1})
 	}
 }
 
-// livePublisher accumulates one executing goroutine's deltas between
-// publications. All fields are plain — the publisher is owned by a
-// single worker — and only flush touches the shared atomics, so the
-// per-fault cost with live stats enabled is a few plain adds plus one
-// branch, and with them disabled a single nil check in the run loop.
-type livePublisher struct {
-	live  *LiveStats
-	every int
-	n     int
-
-	done, conv, mot, prunedC     int64
-	motFaults                    int64
-	pairs, expansions, sequences int64
-
-	// Published baselines for the cumulative per-worker accumulators.
-	lastTimes     StageNS
-	lastImply     int64
-	lastImplyNS   int64
-	lastImplySmps int64
-	lastResimVP   int64
-	lastResimVF   int64
-	lastSim       seqsim.SimStats
+// liveDelta is the record's contribution to the live stats and, with
+// metrics on, to the worker's runStats. The pipeline internals
+// (implication calls, vector passes, stage times, frame counters) are
+// included only when metrics is set.
+func (r *faultRecord) liveDelta(metrics bool) LiveSnapshot {
+	o := &r.out
+	d := LiveSnapshot{
+		FaultsDone: 1,
+		Pairs:      int64(o.Pairs),
+		Expansions: int64(o.Expansions),
+		Sequences:  int64(o.Sequences),
+	}
+	switch {
+	case o.Outcome == DetectedConventional:
+		d.Conv = 1
+	case o.Outcome == DetectedMOT:
+		d.MOT = 1
+	case o.FailedConditionC:
+		d.PrunedConditionC = 1
+	}
+	if r.ran {
+		d.MOTFaults = 1
+	}
+	if metrics {
+		d.ImplyCalls = r.implyCalls
+		d.ImplyNS = r.implySampleNS << implySampleShift
+		d.ResimVectorPasses = int64(r.resim.VectorPasses)
+		d.ResimVectorFrames = int64(r.resim.VectorFrames)
+		d.Step0NS = r.stages.Step0
+		d.CollectNS = r.stages.Collect
+		d.ExpandNS = r.stages.Expand
+		d.ResimNS = r.stages.Resim
+		d.TotalNS = r.stages.Total
+		d.FullFrames = r.sim.FullFrames
+		d.EventFrames = r.sim.EventFrames
+		d.EventGateEvals = r.sim.EventGateEvals
+		d.Events = r.sim.Events
+	}
+	return d
 }
 
-// newLivePublisher returns a publisher for this simulator's goroutine,
-// or nil when live stats are off.
+// livePublisher accumulates one run worker's deltas between
+// publications in a plain LiveSnapshot — the publisher is owned by a
+// single worker — and only flush touches the shared atomics, so the
+// per-fault cost with live stats enabled is a few plain adds, and with
+// them disabled a single nil check in the claim loop.
+type livePublisher struct {
+	live    *LiveStats
+	metrics bool
+	every   int
+	n       int
+	pending LiveSnapshot
+}
+
+// newLivePublisher returns a publisher for this simulator's worker, or
+// nil when live stats are off.
 func (s *Simulator) newLivePublisher() *livePublisher {
 	if s.cfg.Live == nil {
 		return nil
@@ -235,80 +315,29 @@ func (s *Simulator) newLivePublisher() *livePublisher {
 	if every <= 0 {
 		every = defaultLiveEvery
 	}
-	return &livePublisher{live: s.cfg.Live, every: every}
+	return &livePublisher{live: s.cfg.Live, metrics: s.cfg.Metrics, every: every}
 }
 
-// observe records one classified fault. entered reports whether the
-// fault ran the per-fault MOT pipeline (false for prescreen-dropped
-// faults routed through the serial loop).
-func (p *livePublisher) observe(s *Simulator, o *FaultOutcome, entered bool) {
+// observe records one classified fault.
+func (p *livePublisher) observe(r *faultRecord) {
 	if p == nil {
 		return
 	}
-	p.done++
-	switch o.Outcome {
-	case DetectedConventional:
-		p.conv++
-	case DetectedMOT:
-		p.mot++
-	default:
-		if o.FailedConditionC {
-			p.prunedC++
-		}
-	}
-	if entered {
-		p.motFaults++
-	}
-	p.pairs += int64(o.Pairs)
-	p.expansions += int64(o.Expansions)
-	p.sequences += int64(o.Sequences)
+	p.pending.Add(r.liveDelta(p.metrics))
 	p.n++
 	if p.n >= p.every {
-		p.flush(s)
+		p.flush()
 	}
 }
 
 // flush publishes the pending deltas. Safe to call at any point
-// (including with nothing pending); Run and RunParallel call it once
-// more after their fault loops so the final snapshot equals the merged
-// Result exactly.
-func (p *livePublisher) flush(s *Simulator) {
+// (including with nothing pending); each worker calls it once more when
+// its claim loop ends, so the final snapshot equals the merged Result
+// exactly.
+func (p *livePublisher) flush() {
 	if p == nil {
 		return
 	}
-	l := p.live
-	l.faultsDone.Add(p.done)
-	l.conv.Add(p.conv)
-	l.mot.Add(p.mot)
-	l.prunedC.Add(p.prunedC)
-	l.motFaults.Add(p.motFaults)
-	l.pairs.Add(p.pairs)
-	l.expansions.Add(p.expansions)
-	l.sequences.Add(p.sequences)
-	p.done, p.conv, p.mot, p.prunedC, p.motFaults = 0, 0, 0, 0, 0
-	p.pairs, p.expansions, p.sequences = 0, 0, 0
-	p.n = 0
-	if st := s.stats; st != nil {
-		d := st.times.sub(p.lastTimes)
-		p.lastTimes = st.times
-		l.step0NS.Add(d.Step0)
-		l.collectNS.Add(d.Collect)
-		l.expandNS.Add(d.Expand)
-		l.resimNS.Add(d.Resim)
-		l.totalNS.Add(d.Total)
-		l.implyCalls.Add(st.implyCalls - p.lastImply)
-		l.implySampleNS.Add(st.implySampleNS - p.lastImplyNS)
-		l.implySamples.Add(st.implySamples - p.lastImplySmps)
-		p.lastImply, p.lastImplyNS, p.lastImplySmps = st.implyCalls, st.implySampleNS, st.implySamples
-		l.resimVectorPasses.Add(st.resimVectorPasses - p.lastResimVP)
-		l.resimVectorFrames.Add(st.resimVectorFrames - p.lastResimVF)
-		p.lastResimVP, p.lastResimVF = st.resimVectorPasses, st.resimVectorFrames
-
-		sim := s.sim.Stats()
-		l.fullFrames.Add(sim.FullFrames - p.lastSim.FullFrames)
-		l.eventFrames.Add(sim.EventFrames - p.lastSim.EventFrames)
-		l.eventGateEvals.Add(sim.EventGateEvals - p.lastSim.EventGateEvals)
-		l.events.Add(sim.Events - p.lastSim.Events)
-		p.lastSim = sim
-	}
+	p.live.add(&p.pending)
+	p.pending, p.n = LiveSnapshot{}, 0
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 )
 
@@ -218,5 +219,38 @@ func TestRunContextDone(t *testing.T) {
 	cancel()
 	if _, err := s.RunContext(ctx, faults, nil); !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestLiveSnapshotAddCoversAllFields guards the live field lists: a
+// snapshot whose i-th field holds the distinct value i+1 must come back
+// doubled from LiveSnapshot.Add (the aggregate a server exposes) and
+// from two LiveStats.add publications read back by Snapshot, so adding a
+// field without extending every list fails here instead of silently
+// freezing one counter.
+func TestLiveSnapshotAddCoversAllFields(t *testing.T) {
+	var s LiveSnapshot
+	v := reflect.ValueOf(&s).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		if f.Kind() != reflect.Int64 {
+			t.Fatalf("LiveSnapshot field %s is %s; the sentinel scheme assumes int64 — extend this test",
+				v.Type().Field(i).Name, f.Kind())
+		}
+		f.SetInt(int64(i + 1))
+	}
+	sum := s
+	sum.Add(s)
+	var l LiveStats
+	l.add(&s)
+	l.add(&s)
+	for name, got := range map[string]LiveSnapshot{"LiveSnapshot.Add": sum, "LiveStats.add": l.Snapshot()} {
+		gv := reflect.ValueOf(got)
+		for i := 0; i < gv.NumField(); i++ {
+			if want := int64(2 * (i + 1)); gv.Field(i).Int() != want {
+				t.Errorf("%s dropped field %s: got %d, want %d",
+					name, gv.Type().Field(i).Name, gv.Field(i).Int(), want)
+			}
+		}
 	}
 }

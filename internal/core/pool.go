@@ -13,8 +13,8 @@ import (
 // simPools is the per-Simulator reusable state that keeps the per-fault
 // pipeline allocation-free in steady state. Every pool hangs off one
 // Simulator and is touched only by that simulator's (single) goroutine:
-// RunParallel gives each worker its own Simulator value, so pools are
-// never shared across goroutines. The zero value is ready to use; every
+// each run worker is its own Simulator value, so pools are never shared
+// across goroutines. The zero value is ready to use; every
 // buffer is grown lazily on first demand.
 //
 // Lifecycle: the pair-collection arenas (svArena, svIdxArena, pairs) are

@@ -181,12 +181,12 @@ func TestResimulateChunked(t *testing.T) {
 		}
 		marks := make([]bool, 4)
 		marks[0] = true
-		s.lastResim = ResimTrace{}
+		s.rec.resim = ResimTrace{}
 		if got := testResimulate(t, s, &f, bad, seqs, marks); got != tc.want {
 			t.Errorf("survivor %d: resimulate = %v, want %v", tc.survivor, got, tc.want)
 		}
-		if s.lastResim.VectorPasses != tc.wantPasses {
-			t.Errorf("survivor %d: %d vector passes, want %d", tc.survivor, s.lastResim.VectorPasses, tc.wantPasses)
+		if s.rec.resim.VectorPasses != tc.wantPasses {
+			t.Errorf("survivor %d: %d vector passes, want %d", tc.survivor, s.rec.resim.VectorPasses, tc.wantPasses)
 		}
 	}
 }

@@ -78,39 +78,27 @@ func (sc *spanScope) finish(res *Result) {
 	sc.main.Flush()
 }
 
-// workerSpans drives one executing goroutine's per-fault spans on its
-// own track. RunParallel workers (w >= 0) additionally record a
-// "worker" span covering their whole claim loop — the one span kind
+// workerSpans drives one run worker's per-fault spans on its own track,
+// plus a "worker" span covering its whole claim loop — the one span kind
 // whose membership depends on scheduling, which is why it is recorded
 // at close time via Tracer.Record rather than held open in the buffer
 // (an open span would block the buffer's incremental flushes).
 type workerSpans struct {
-	tr      *xtrace.Tracer
-	buf     *xtrace.Buffer
-	rate    float64
-	stageID xtrace.SpanID
-	w       int
-	start   int64
-	fref    xtrace.Ref
-	faults  int64
+	sc     *spanScope
+	buf    *xtrace.Buffer
+	w      int
+	start  int64
+	fref   xtrace.Ref
+	faults int64
 }
 
-// worker returns the span driver for one executing goroutine: w < 0 for
-// the serial loop, a worker index for RunParallel workers. Nil scope →
-// nil driver.
+// worker returns the span driver for run worker w. Nil scope → nil
+// driver.
 func (sc *spanScope) worker(w int) *workerSpans {
 	if sc == nil {
 		return nil
 	}
-	label := "faults"
-	if w >= 0 {
-		label = fmt.Sprintf("worker %02d", w)
-	}
-	return &workerSpans{
-		tr: sc.tr, buf: sc.tr.NewTrack(label),
-		rate: sc.rate, stageID: sc.stageID,
-		w: w, start: sc.tr.Now(),
-	}
+	return &workerSpans{sc: sc, buf: sc.tr.NewTrack(fmt.Sprintf("worker %02d", w)), w: w, start: sc.tr.Now()}
 }
 
 // close flushes the track and records the worker span.
@@ -119,16 +107,14 @@ func (ws *workerSpans) close() {
 		return
 	}
 	ws.buf.Flush()
-	if ws.w < 0 {
-		return
-	}
-	ws.tr.Record(xtrace.Span{
-		ID:     xtrace.DeriveID(ws.stageID, "worker", uint64(ws.w)),
-		Parent: ws.stageID,
+	sc := ws.sc
+	sc.tr.Record(xtrace.Span{
+		ID:     xtrace.DeriveID(sc.stageID, "worker", uint64(ws.w)),
+		Parent: sc.stageID,
 		Name:   "worker",
 		Track:  ws.buf.Track(),
 		Start:  ws.start,
-		Dur:    ws.tr.Now() - ws.start,
+		Dur:    sc.tr.Now() - ws.start,
 		Attrs:  []xtrace.Attr{{Key: "faults", Val: fmt.Sprint(ws.faults)}},
 	})
 }
@@ -140,27 +126,28 @@ func (ws *workerSpans) begin(s *Simulator, k int, f fault.Fault) {
 		return
 	}
 	ws.faults++
-	if !xtrace.SampleAt(ws.rate, k) {
+	if !xtrace.SampleAt(ws.sc.rate, k) {
 		return
 	}
-	ws.fref = ws.buf.Begin("fault", ws.stageID, uint64(k))
+	ws.fref = ws.buf.Begin("fault", ws.sc.stageID, uint64(k))
 	ws.buf.AttrInt(ws.fref, "k", int64(k))
 	ws.buf.Attr(ws.fref, "fault", f.Name(s.c))
 	s.tbuf, s.span = ws.buf, ws.buf.ID(ws.fref)
 }
 
-// end closes the current fault span (no-op when fault k was unsampled)
-// with the outcome attributes.
-func (ws *workerSpans) end(s *Simulator, o *FaultOutcome) {
+// end closes the current fault span (no-op when the fault was
+// unsampled) with the attributes of the fault's record.
+func (ws *workerSpans) end(s *Simulator) {
 	if ws == nil || s.span == 0 {
 		return
 	}
-	ws.buf.Attr(ws.fref, "outcome", o.Outcome.String())
-	ws.buf.AttrInt(ws.fref, "pairs", int64(o.Pairs))
-	ws.buf.AttrInt(ws.fref, "seqs", int64(o.Sequences))
-	ws.buf.AttrInt(ws.fref, "sim_frames", s.lastEvents.Frames)
-	ws.buf.AttrInt(ws.fref, "sim_events", s.lastEvents.Events)
-	ws.buf.AttrInt(ws.fref, "sim_gate_evals", s.lastEvents.GateEvals)
+	r := &s.rec
+	ws.buf.Attr(ws.fref, "outcome", r.out.Outcome.String())
+	ws.buf.AttrInt(ws.fref, "pairs", int64(r.out.Pairs))
+	ws.buf.AttrInt(ws.fref, "seqs", int64(r.out.Sequences))
+	ws.buf.AttrInt(ws.fref, "sim_frames", r.sim.EventFrames)
+	ws.buf.AttrInt(ws.fref, "sim_events", r.sim.Events)
+	ws.buf.AttrInt(ws.fref, "sim_gate_evals", r.sim.EventGateEvals)
 	ws.buf.End(ws.fref)
 	s.tbuf, s.span = nil, 0
 }

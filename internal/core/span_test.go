@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 	"testing"
 
@@ -221,5 +222,9 @@ func TestTraceSampleRateValidation(t *testing.T) {
 	cfg.TraceSampleRate = -0.1
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("TraceSampleRate -0.1 accepted")
+	}
+	cfg.TraceSampleRate = math.NaN()
+	if err := cfg.Validate(); err == nil {
+		t.Fatal("TraceSampleRate NaN accepted")
 	}
 }

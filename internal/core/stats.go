@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/seqsim"
 )
 
 // StageNS is a per-fault (or per-run delta) stage-time breakdown in
@@ -19,18 +21,6 @@ type StageNS struct {
 	Expand  int64 `json:"expand_ns"`
 	Resim   int64 `json:"resim_ns"`
 	Total   int64 `json:"total_ns"`
-}
-
-// sub returns the component-wise difference s - before.
-func (s StageNS) sub(before StageNS) StageNS {
-	return StageNS{
-		Step0:   s.Step0 - before.Step0,
-		Collect: s.Collect - before.Collect,
-		Imply:   s.Imply - before.Imply,
-		Expand:  s.Expand - before.Expand,
-		Resim:   s.Resim - before.Resim,
-		Total:   s.Total - before.Total,
-	}
 }
 
 // PoolStats instruments the PR 2 pooling layer: how often the pooled
@@ -80,62 +70,34 @@ func max64(a, b int64) int64 {
 	return b
 }
 
-// runStats is the per-worker instrumentation accumulator. Each
-// Simulator that executes faults owns exactly one (RunParallel gives
-// every worker its own), so all fields are plain — no atomics on the
-// hot path. Totals merge into Result.Stages once the run completes.
+// runStats is the per-worker instrumentation accumulator: the live
+// deltas of the worker's fault records summed in one LiveSnapshot, plus
+// the worker's pool counters. Every run worker owns its own, so all
+// fields are plain — no atomics on the hot path. Totals merge into
+// Result.Stages once the run completes.
 type runStats struct {
-	times      StageNS
-	implyCalls int64
-	// implySampleNS/implySamples hold the timed 1-in-2^implySampleShift
-	// sample of implication calls from which ImplyTime is estimated.
-	implySampleNS int64
-	implySamples  int64
-	motFaults     int64
-	// resimVectorPasses/resimVectorFrames count the bit-parallel
-	// resimulation passes and the frames they evaluated (see Stages).
-	resimVectorPasses int64
-	resimVectorFrames int64
-	pool              PoolStats
+	sum  LiveSnapshot
+	pool PoolStats
 }
 
-// stageField selects the accumulator tick targets.
-type stageField uint8
-
-const (
-	stageStep0 stageField = iota
-	stageCollect
-	stageExpand
-	stageResim
-)
-
-// tick accumulates the monotonic time since *last into the selected
-// stage and advances *last. A nil receiver (metrics off) is a no-op and
-// performs no clock read.
-func (rs *runStats) tick(last *time.Time, f stageField) {
-	if rs == nil {
+// tick adds the monotonic time since *last to the stage time *stage of
+// the current fault's record and advances *last. With metrics off it is
+// a no-op and performs no clock read.
+func (s *Simulator) tick(last *time.Time, stage *int64) {
+	if s.stats == nil {
 		return
 	}
 	now := time.Now()
-	d := int64(now.Sub(*last))
-	switch f {
-	case stageStep0:
-		rs.times.Step0 += d
-	case stageCollect:
-		rs.times.Collect += d
-	case stageExpand:
-		rs.times.Expand += d
-	case stageResim:
-		rs.times.Resim += d
-	}
+	*stage += int64(now.Sub(*last))
 	*last = now
 }
 
 // implySampleShift sets the implication timing sample rate: one in
-// 2^implySampleShift implication calls is timed, and ImplyTime is
-// scaled back up from the sample. Sampling keeps the two extra clock
-// reads off most of the (very hot) implication calls; even small runs
-// make thousands of calls, so 1-in-64 still gives a stable estimate.
+// 2^implySampleShift implication calls is timed, and ImplyTime counts
+// each timed call 2^implySampleShift times. Sampling keeps the two
+// extra clock reads off most of the (very hot) implication calls; even
+// small runs make thousands of calls, so 1-in-64 still gives a stable
+// estimate.
 const implySampleShift = 6
 
 // RunMetrics holds the per-fault distribution histograms of one run.
@@ -190,34 +152,44 @@ func newRunMetrics() *RunMetrics {
 	}
 }
 
-// observeFault records one completed per-fault pipeline execution.
-func (m *RunMetrics) observeFault(o *FaultOutcome, totalNS, coneGates int64) {
-	m.PairsPerFault.Observe(int64(o.Pairs))
-	m.ExpansionsPerFault.Observe(int64(o.Expansions))
-	m.SequencesAtStop.Observe(int64(o.Sequences))
-	m.FaultTimeNS.Observe(totalNS)
-	m.ConeGatesPerFault.Observe(coneGates)
-}
-
-// exemplarFault attaches a span-sampled fault's observations as the
-// exemplars of the buckets they landed in, linking each per-fault
-// histogram back to the fault name and its trace span. Called only for
-// faults that carry a live span, so the unsampled hot path never
-// allocates exemplar labels.
-func (m *RunMetrics) exemplarFault(o *FaultOutcome, totalNS, coneGates int64, faultName, spanHex string) {
-	fl := metrics.Label{Key: "fault", Val: faultName}
-	sl := metrics.Label{Key: "span_id", Val: spanHex}
-	m.PairsPerFault.SetExemplar(int64(o.Pairs), fl, sl)
-	m.ExpansionsPerFault.SetExemplar(int64(o.Expansions), fl, sl)
-	m.SequencesAtStop.SetExemplar(int64(o.Sequences), fl, sl)
-	m.FaultTimeNS.SetExemplar(totalNS, fl, sl)
-	m.ConeGatesPerFault.SetExemplar(coneGates, fl, sl)
+// observeFault feeds the record of a fault that completed the per-fault
+// pipeline into the run histograms (a no-op with metrics off). A
+// span-sampled fault also becomes the exemplar of every bucket it
+// landed in, linking each histogram back to the fault name and its
+// span; unsampled faults never allocate exemplar labels.
+func (s *Simulator) observeFault() {
+	m := s.hist
+	if m == nil {
+		return
+	}
+	r := &s.rec
+	obs := [...]struct {
+		h *metrics.Histogram
+		v int64
+	}{
+		{m.PairsPerFault, int64(r.out.Pairs)},
+		{m.ExpansionsPerFault, int64(r.out.Expansions)},
+		{m.SequencesAtStop, int64(r.out.Sequences)},
+		{m.FaultTimeNS, r.stages.Total},
+		{m.ConeGatesPerFault, r.cone},
+	}
+	for _, o := range obs {
+		o.h.Observe(o.v)
+	}
+	if s.span == 0 {
+		return
+	}
+	fl := metrics.Label{Key: "fault", Val: r.out.Fault.Name(s.c)}
+	sl := metrics.Label{Key: "span_id", Val: fmt.Sprintf("%016x", uint64(s.span))}
+	for _, o := range obs {
+		o.h.SetExemplar(o.v, fl, sl)
+	}
 }
 
 // beginRun resets the per-run instrumentation state on s according to
-// the configuration and attaches the run histograms to res. Serial Run
-// and the RunParallel parent both call it; parallel workers receive
-// their own runStats and share the parent's histograms.
+// the configuration and attaches the run histograms to res. s is the
+// run's worker 0; the other workers (clone) receive their own runStats
+// and share these histograms.
 func (s *Simulator) beginRun(res *Result) {
 	if !s.cfg.Metrics {
 		s.stats, s.hist = nil, nil
@@ -227,7 +199,6 @@ func (s *Simulator) beginRun(res *Result) {
 	s.stats = &runStats{}
 	s.hist = newRunMetrics()
 	res.Metrics = s.hist
-	s.sim.ResetStats()
 	s.sim.SetFrameHists(s.hist.EventsPerFrame, s.hist.GatesVisitedPerFrame)
 }
 
@@ -236,17 +207,19 @@ func (st *Stages) mergeStats(rs *runStats) {
 	if rs == nil {
 		return
 	}
-	st.Step0Time += time.Duration(rs.times.Step0)
-	st.CollectTime += time.Duration(rs.times.Collect)
-	st.ExpandTime += time.Duration(rs.times.Expand)
-	st.ResimTime += time.Duration(rs.times.Resim)
-	if rs.implySamples > 0 {
-		// Scale the timed sample back up to an estimate over all calls.
-		st.ImplyTime += time.Duration(rs.implySampleNS * rs.implyCalls / rs.implySamples)
-	}
-	st.ImplyCalls += rs.implyCalls
-	st.ResimVectorPasses += rs.resimVectorPasses
-	st.ResimVectorFrames += rs.resimVectorFrames
-	st.MOTFaults += int(rs.motFaults)
+	d := &rs.sum
+	st.Step0Time += time.Duration(d.Step0NS)
+	st.CollectTime += time.Duration(d.CollectNS)
+	st.ImplyTime += time.Duration(d.ImplyNS)
+	st.ExpandTime += time.Duration(d.ExpandNS)
+	st.ResimTime += time.Duration(d.ResimNS)
+	st.ImplyCalls += d.ImplyCalls
+	st.ResimVectorPasses += d.ResimVectorPasses
+	st.ResimVectorFrames += d.ResimVectorFrames
+	st.MOTFaults += int(d.MOTFaults)
+	st.Sim.Merge(seqsim.SimStats{
+		EventFrames: d.EventFrames, FullFrames: d.FullFrames,
+		EventGateEvals: d.EventGateEvals, Events: d.Events,
+	})
 	st.Pool.merge(rs.pool)
 }

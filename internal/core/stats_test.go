@@ -261,7 +261,7 @@ func TestTraceReferencePooledCrossCheck(t *testing.T) {
 		}
 		got.Resim, got.Sim = nil, nil
 		o := refSimulateFault(t, ref, full, faults[i])
-		if want := ref.traceEvent(&o, nil, nil, nil); !reflect.DeepEqual(got, want) {
+		if want := ref.traceEvent(&faultRecord{out: o}); !reflect.DeepEqual(got, want) {
 			t.Fatalf("fault %s: trace %+v, reference %+v", faults[i].Name(c), got, want)
 		}
 	}

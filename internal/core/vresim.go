@@ -473,15 +473,11 @@ func (s *Simulator) resimulateVV(f *fault.Fault, bad *seqsim.Trace, seqs []*sequ
 		}
 	}
 
-	if st := s.stats; st != nil {
-		st.resimVectorPasses++
-		st.resimVectorFrames += int64(frames)
-	}
 	if s.hist != nil {
 		s.hist.ResimLanesPerPass.Observe(int64(n))
 	}
-	s.lastResim.VectorPasses++
-	s.lastResim.VectorFrames += frames
-	s.lastResim.Lanes += n
+	s.rec.resim.VectorPasses++
+	s.rec.resim.VectorFrames += frames
+	s.rec.resim.Lanes += n
 	return resolvedM == all
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -111,7 +112,7 @@ func NewServer(cfg Config) *Server {
 	if cfg.FlightRecorder <= 0 {
 		cfg.FlightRecorder = 4096
 	}
-	if cfg.TraceSample < 0 || cfg.TraceSample > 1 {
+	if !(cfg.TraceSample >= 0 && cfg.TraceSample <= 1) { // NaN too
 		cfg.TraceSample = 0 // core default
 	}
 	ring := xtrace.NewRing(cfg.FlightRecorder)
@@ -172,6 +173,11 @@ func NewServer(cfg Config) *Server {
 	return s
 }
 
+// maxRequestBytes bounds a POST /runs body. An inline netlist is the
+// only large part of a request, and the largest suite netlist (sg35932)
+// formats to under 200 KiB.
+const maxRequestBytes = 8 << 20
+
 // Rolling-window geometry shared by the per-route and per-run windows:
 // 10-second buckets covering the 5-minute horizon.
 const (
@@ -214,41 +220,9 @@ func (s *Server) liveSnapshot() core.LiveSnapshot {
 	defer s.mu.Unlock()
 	var sum core.LiveSnapshot
 	for _, r := range s.runs {
-		sum = addSnapshots(sum, r.live.Snapshot())
+		sum.Add(r.live.Snapshot())
 	}
 	return sum
-}
-
-// addSnapshots field-wise adds two snapshots.
-func addSnapshots(a, b core.LiveSnapshot) core.LiveSnapshot {
-	a.RunsStarted += b.RunsStarted
-	a.RunsDone += b.RunsDone
-	a.FaultsTotal += b.FaultsTotal
-	a.FaultsDone += b.FaultsDone
-	a.Conv += b.Conv
-	a.MOT += b.MOT
-	a.PrunedConditionC += b.PrunedConditionC
-	a.PrescreenPasses += b.PrescreenPasses
-	a.PrescreenDropped += b.PrescreenDropped
-	a.PrescreenFrames += b.PrescreenFrames
-	a.MOTFaults += b.MOTFaults
-	a.Pairs += b.Pairs
-	a.Expansions += b.Expansions
-	a.Sequences += b.Sequences
-	a.ImplyCalls += b.ImplyCalls
-	a.ImplyNS += b.ImplyNS
-	a.ResimVectorPasses += b.ResimVectorPasses
-	a.ResimVectorFrames += b.ResimVectorFrames
-	a.Step0NS += b.Step0NS
-	a.CollectNS += b.CollectNS
-	a.ExpandNS += b.ExpandNS
-	a.ResimNS += b.ResimNS
-	a.TotalNS += b.TotalNS
-	a.FullFrames += b.FullFrames
-	a.EventFrames += b.EventFrames
-	a.EventGateEvals += b.EventGateEvals
-	a.Events += b.Events
-	return a
 }
 
 // latestMetrics returns the per-fault histograms of the most recently
@@ -319,10 +293,15 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // the initial status.
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var req RunRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, code, fmt.Errorf("decoding request: %w", err))
 		return
 	}
 

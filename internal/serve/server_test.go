@@ -337,6 +337,25 @@ func TestServerRequestValidation(t *testing.T) {
 	}
 }
 
+// TestServerOversizedBody posts a body just over maxRequestBytes and
+// expects 413, then checks a normal run still completes.
+func TestServerOversizedBody(t *testing.T) {
+	_, ts := newTestServer(t)
+	body := `{"circuit":"s27","bench":"` + strings.Repeat("#", maxRequestBytes) + `"}`
+	resp, err := http.Post(ts.URL+"/runs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized body: status = %d, want 413", resp.StatusCode)
+	}
+	st := postRun(t, ts, RunRequest{Circuit: "s27", Random: 8, Workers: 1})
+	if st = waitDone(t, ts, st.ID); st.Status != StatusDone {
+		t.Errorf("run after oversized body: status %s, want done", st.Status)
+	}
+}
+
 // TestServerHealthAndPprof checks the sidecar endpoints.
 func TestServerHealthAndPprof(t *testing.T) {
 	_, ts := newTestServer(t)

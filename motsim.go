@@ -15,7 +15,14 @@
 //     (GreedySequence);
 //   - New builds a Simulator that classifies each fault as detected by
 //     conventional three-valued simulation, detected by the MOT procedure
-//     beyond conventional simulation, or undetected.
+//     beyond conventional simulation, or undetected. Simulator.Run and
+//     RunParallel (and their Context forms) share one driver: the
+//     bit-parallel prescreen, then one claim loop over the whole fault
+//     list, a serial run being its one-worker case;
+//   - every fault the loop classifies leaves one record that feeds all
+//     the per-fault outputs alike: the JSONL trace (TraceEvent), the
+//     fault spans (Tracer), the per-fault histograms (RunMetrics) and the
+//     live counters (LiveStats).
 //
 // A minimal end-to-end run:
 //
@@ -87,13 +94,15 @@ type (
 	// RunMetrics holds the per-fault distribution histograms of a run
 	// (pairs, expansions, sequences at stop, per-fault time).
 	RunMetrics = core.RunMetrics
-	// TraceEvent is one per-fault record of the JSONL trace stream
-	// written to Config.TraceWriter.
+	// TraceEvent is one line of the JSONL trace stream written to
+	// Config.TraceWriter, rendered from the fault's run record.
 	TraceEvent = core.TraceEvent
-	// LiveStats is a concurrency-safe view of in-flight runs, published
-	// on a coarse cadence when set as Config.Live (see Config.LiveEvery).
+	// LiveStats is a concurrency-safe view of in-flight runs: each run
+	// worker sums its fault records' deltas and publishes them on a
+	// coarse cadence when set as Config.Live (see Config.LiveEvery).
 	LiveStats = core.LiveStats
-	// LiveSnapshot is a point-in-time copy of a LiveStats.
+	// LiveSnapshot is a point-in-time copy of a LiveStats; Add sums
+	// snapshots field by field.
 	LiveSnapshot = core.LiveSnapshot
 	// TraceDetection locates a conventional detection within a trace
 	// event (time frame and primary output).
